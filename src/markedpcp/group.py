@@ -16,7 +16,7 @@ from .instances import (
 )
 from .morphisms import Morphism, apply, compose, is_immersion, require_immersion
 from .stallings import core_of_pair, petals_to_morphisms
-from .words import GROUP, Alphabet, Letter, Word, proper_prefixes
+from .words import GROUP, Alphabet, Letter, Word
 
 
 def prefix_complexity(instance: Instance) -> int:
@@ -28,10 +28,16 @@ def prefix_complexity(instance: Instance) -> int:
     """
 
     def side(f: Morphism) -> int:
-        prefixes: set[Word] = set()
-        for l in f.domain.signed_letters():
-            prefixes |= proper_prefixes(f.image(l))
-        return len(prefixes)
+        words = [img.letters for img in f.images]
+        if f.mode == GROUP:
+            words += [tuple(l.inverse() for l in reversed(w)) for w in words]
+        # one trie node per distinct prefix, keyed by (parent node, letter)
+        nodes: dict[tuple[int, Letter], int] = {}
+        for w in words:
+            node = 0
+            for l in w[:-1]:
+                node = nodes.setdefault((node, l), len(nodes) + 1)
+        return len(nodes)
 
     return side(instance.g) + side(instance.h)
 
@@ -46,9 +52,26 @@ def iteration_bound(instance: Instance) -> int:
     """
     s = prefix_complexity(instance)
     exponent = 2 * len(instance.sigma) * (s + 1)
+    return _bound_base(instance) ** exponent
+
+
+def _bound_base(instance: Instance) -> int:
     if instance.mode == GROUP:
-        return (2 * len(instance.delta)) ** exponent
-    return (len(instance.delta) + 1) ** exponent
+        return 2 * len(instance.delta)
+    return len(instance.delta) + 1
+
+
+def _trail_exceeds_bound(instance: Instance, steps: int) -> bool:
+    """Is a trail of `steps` reductions from `instance` longer than its
+    iteration bound?
+
+    The bound at prefix complexity zero is a floor of the bound and costs
+    nothing, so the prefix complexity is only counted once a trail outgrows
+    the floor.
+    """
+    if steps <= _bound_base(instance) ** (2 * len(instance.sigma)):
+        return False
+    return steps > iteration_bound(instance)
 
 
 def _petal_blocks(instance: Instance, g_prime: Morphism, h_prime: Morphism) -> tuple[Block, ...]:
@@ -128,7 +151,6 @@ def solve_pair(instance: Instance) -> EqualiserResult:
         raise ValueError("this solver handles group-mode instances")
     require_immersion(instance.g, instance.names[0])
     require_immersion(instance.h, instance.names[1])
-    bound = iteration_bound(instance)
     cur = instance
     trail: list[ReductionStep] = []
     seen: set[tuple] = set()
@@ -144,7 +166,7 @@ def solve_pair(instance: Instance) -> EqualiserResult:
         step = reduce_group_instance(cur)
         trail.append(step)
         cur = step.after
-        if len(trail) > bound:
+        if _trail_exceeds_bound(instance, len(trail)):
             raise AssertionError("iteration bound exceeded: reduction did not cycle")
     return _compose_trail(instance, cur, trail, case)
 

@@ -3,7 +3,7 @@ free-monoid morphisms, including finite families of them."""
 
 from __future__ import annotations
 
-from .group import iteration_bound
+from .group import _trail_exceeds_bound
 from .instances import (
     CASE_CYCLE,
     CASE_EMPTY,
@@ -179,7 +179,6 @@ def solve_pair(instance: Instance) -> EqualiserResult:
         raise ValueError("this solver handles monoid-mode instances")
     require_marked(instance.g, instance.names[0])
     require_marked(instance.h, instance.names[1])
-    bound = iteration_bound(instance)
     cur = instance
     trail: list[ReductionStep] = []
     seen: set[tuple] = set()
@@ -195,7 +194,7 @@ def solve_pair(instance: Instance) -> EqualiserResult:
         step = reduce_instance(cur)
         trail.append(step)
         cur = step.after
-        if len(trail) > bound:
+        if _trail_exceeds_bound(instance, len(trail)):
             raise AssertionError("iteration bound exceeded: reduction did not cycle")
     return _compose_trail(instance, cur, trail, case)
 

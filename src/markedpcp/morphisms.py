@@ -92,15 +92,16 @@ def _first_letter_clash(f: Morphism) -> tuple[str, str] | None:
     per codomain letter) is a consequence of the distinctness check, so no
     separate size test is needed.
     """
-    seen: dict[Letter, str] = {}
+    seen: dict[Letter, Letter] = {}
     for l in f.domain.signed_letters():
-        name = format_letter(f.domain, l)
-        img = f.image(l)
+        img = f.images[l.index]
         if not img:
-            return (name, "")
-        if img.first in seen:
-            return (seen[img.first], name)
-        seen[img.first] = name
+            return (format_letter(f.domain, l), "")
+        # the inverse image starts with the inverse of the image's last letter
+        first = img.first if l.sign > 0 else img.last.inverse()
+        if first in seen:
+            return (format_letter(f.domain, seen[first]), format_letter(f.domain, l))
+        seen[first] = l
     return None
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from .morphisms import Morphism
 from .words import GROUP, Alphabet, Letter, Word
@@ -118,6 +117,51 @@ def product(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
     """Label-synchronised product on all vertex pairs, based at the pair of
     base vertices."""
     return _product_with_pairs(g1, g2)[0]
+
+
+def _pullback(
+    g1: StallingsGraph, g2: StallingsGraph
+) -> tuple[StallingsGraph, list[tuple[int, int]]]:
+    """The component of the base pair in the product of two graphs folded
+    both ways, built by search from the base pair.
+
+    Folding makes every (vertex, label, direction) step of g2 unique, so the
+    search visits only that component.  Vertices are numbered in the order
+    of their ids in the full product and edges sorted by their pair of
+    edge ids, so this is exactly the subgraph that the full product has on
+    the component, renumbered.
+    """
+    steps1: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g1.num_vertices)]
+    for i, (s, t, lab) in enumerate(g1.edges):
+        steps1[s].append((lab, 1, i, t))
+        steps1[t].append((lab, -1, i, s))
+    steps2: dict[tuple[int, int, int], tuple[int, int]] = {}
+    for j, (s, t, lab) in enumerate(g2.edges):
+        steps2[(s, lab, 1)] = (j, t)
+        steps2[(t, lab, -1)] = (j, s)
+    base = (g1.base, g2.base)
+    found = {base}
+    queue = [base]
+    crossed: set[tuple[int, int]] = set()  # each edge is crossed from both ends
+    for v1, v2 in queue:
+        for lab, d, i, w1 in steps1[v1]:
+            hit = steps2.get((v2, lab, d))
+            if hit is None:
+                continue
+            j, w2 = hit
+            crossed.add((i, j))
+            if (w1, w2) not in found:
+                found.add((w1, w2))
+                queue.append((w1, w2))
+    new_id = {v: k for k, v in enumerate(sorted(found))}
+    pairs = sorted(crossed)
+    edges = []
+    for i, j in pairs:
+        s1, t1, lab = g1.edges[i]
+        s2, t2, _ = g2.edges[j]
+        edges.append((new_id[(s1, s2)], new_id[(t1, t2)], lab))
+    graph = StallingsGraph(g1.alphabet, len(found), tuple(edges), new_id[base], None)
+    return graph, pairs
 
 
 def _core_with_maps(
@@ -260,8 +304,10 @@ def core_of_pair(
     """Core of the product of the two bouquets at the paired base vertices.
 
     Returns the core (with petal structure attached) and the projections of
-    its edges onto the edges of the two bouquets.  For immersions the core
-    is always a bouquet; anything else is rejected.
+    its edges onto the edges of the two bouquets.  Only the component of
+    the base pair is built; the result is the same as coring the full
+    `product`.  For immersions the core is always a bouquet; anything else
+    is rejected.
     """
     if g.codomain != h.codomain:
         raise ValueError("core of a pair needs a common codomain")
@@ -269,8 +315,8 @@ def core_of_pair(
     hb = bouquet(h)
     if not (is_folded_both_ways(gb) and is_folded_both_ways(hb)):
         raise ValueError("core of a pair is only defined for immersions")
-    prod, pairs = _product_with_pairs(gb, hb)
-    core, _, kept_edges = _core_with_maps(prod, prod.base)
+    component, pairs = _pullback(gb, hb)
+    core, _, kept_edges = _core_with_maps(component, component.base)
     g_edges = tuple(pairs[i][0] for i in kept_edges)
     h_edges = tuple(pairs[i][1] for i in kept_edges)
     petals = _extract_petals(core)
@@ -345,16 +391,6 @@ def petals_to_morphisms(
     return g_prime, h_prime
 
 
-@lru_cache(maxsize=None)
-def _traversal_index(graph: StallingsGraph) -> tuple[dict, dict]:
-    forward = {}
-    backward = {}
-    for s, t, lab in graph.edges:
-        forward[(s, lab)] = t
-        backward[(t, lab)] = s
-    return forward, backward
-
-
 def membership(graph: StallingsGraph, w: Word) -> bool:
     """Does w label a reduced closed circuit at the base?
 
@@ -364,7 +400,11 @@ def membership(graph: StallingsGraph, w: Word) -> bool:
         raise ValueError("word does not lie over the graph's label alphabet")
     if not is_folded_both_ways(graph):
         raise ValueError("membership requires a graph folded both ways")
-    forward, backward = _traversal_index(graph)
+    forward = {}
+    backward = {}
+    for s, t, lab in graph.edges:
+        forward[(s, lab)] = t
+        backward[(t, lab)] = s
     cur = graph.base
     for l in w.letters:
         nxt = forward.get((cur, l.index)) if l.sign > 0 else backward.get((cur, l.index))

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from markedpcp import group
-from markedpcp.instances import CASE_SINGLE, Instance
+from markedpcp import group, monoid
+from markedpcp.instances import CASE_CYCLE, CASE_SINGLE, Instance
 from markedpcp.morphisms import NotMarkedError, apply, is_immersion
 from markedpcp.oracle import BallSpec, enumerate_equaliser, image_ball
 from markedpcp.words import GROUP, Alphabet, parse_word, proper_prefixes
@@ -59,6 +60,63 @@ class TestIterationBound:
         d2 = Alphabet(("x", "y"), MONOID)
         f = morphism(one, d2, "x")
         assert group.iteration_bound(Instance(f, f)) == 9
+
+
+def _cycling_group_pair():
+    # reduces six times, then repeats an earlier instance up to renaming
+    sigma = Alphabet(("a", "b"), GROUP)
+    delta = Alphabet(("x", "y"), GROUP)
+    return Instance(morphism(sigma, delta, "y y x", "x y"), morphism(sigma, delta, "x", "y"))
+
+
+class TestIterationBackstop:
+    @pytest.mark.parametrize("mode", ["group", "monoid"])
+    def test_fires_when_the_cycle_detector_cannot(self, mode, monkeypatch, marked_pair):
+        solver, reduce_name, inst = {
+            "group": (group, "reduce_group_instance", _cycling_group_pair()),
+            "monoid": (monoid, "reduce_instance", marked_pair),
+        }[mode]
+        # every instance looks new, so only the backstop can end the trail
+        fresh = itertools.count()
+        monkeypatch.setattr(group, "canonical_form", lambda _: next(fresh))
+        monkeypatch.setattr(monoid, "canonical_form", lambda _: next(fresh))
+        # the cheap floor of the bound: (2|Delta|)^(2|Sigma|), (|Delta|+1)^(2|Sigma|)
+        floor = {"group": 4**4, "monoid": 3**4}[mode]
+        bound_calls = []
+
+        def small_bound(instance):
+            bound_calls.append(instance)
+            return floor + 2
+
+        monkeypatch.setattr(group, "iteration_bound", small_bound)
+        steps = itertools.count(1)
+        reduce = getattr(solver, reduce_name)
+
+        def counted_reduce(instance):
+            next(steps)
+            return reduce(instance)
+
+        monkeypatch.setattr(solver, reduce_name, counted_reduce)
+        with pytest.raises(AssertionError, match="iteration bound exceeded"):
+            solver.solve_pair(inst)
+        # the trail is one step longer than the bound, exactly as before the
+        # bound became lazy, and the bound is only consulted above the floor
+        assert next(steps) == floor + 4
+        assert len(bound_calls) == 3
+        assert all(i is inst for i in bound_calls)
+
+    def test_not_computed_on_ordinary_solves(self, monkeypatch, marked_pair, immersed_pair):
+        def refuse(instance):
+            raise AssertionError("iteration bound computed")
+
+        monkeypatch.setattr(group, "iteration_bound", refuse)
+        monkeypatch.setattr(group, "prefix_complexity", refuse)
+        assert group.solve_pair(_cycling_group_pair()).case == CASE_CYCLE
+        group.solve_pair(immersed_pair)
+        assert monoid.solve_pair(marked_pair).case == CASE_CYCLE
+        rng = random.Random(71)
+        for _ in range(20):
+            group.solve_pair(random_group_instance(rng, max_rank=4, max_len=6))
 
 
 class TestReduceGroupInstance:

@@ -1,10 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from markedpcp.morphisms import apply, compose, identity, is_immersion
 from markedpcp.stallings import (
     StallingsGraph,
+    _core_with_maps,
+    _extract_petals,
+    _product_with_pairs,
+    _pullback,
     bouquet,
     core_at,
     core_of_pair,
@@ -176,6 +181,58 @@ class TestCoreOfPair:
     def test_non_immersion_rejected(self, unfoldable_map):
         with pytest.raises(ValueError):
             core_of_pair(unfoldable_map, unfoldable_map)
+
+
+def _reference_core_of_pair(g, h):
+    """Core of the full product of the bouquets, with its projections."""
+    prod, pairs = _product_with_pairs(bouquet(g), bouquet(h))
+    core, _, kept_edges = _core_with_maps(prod, prod.base)
+    g_edges = tuple(pairs[i][0] for i in kept_edges)
+    h_edges = tuple(pairs[i][1] for i in kept_edges)
+    return core, _extract_petals(core), g_edges, h_edges
+
+
+def _random_immersed_pairs(rng, count):
+    """Pairs of immersions into one codomain, ranks up to 6; a third share
+    a map and an immersion into its domain, so the core is not trivial."""
+    for n in range(count):
+        m = rng.randint(1, 6)
+        delta = Alphabet(tuple(f"x{i}" for i in range(m)), GROUP)
+        sigma1 = Alphabet(tuple(f"a{i}" for i in range(rng.randint(1, m))), GROUP)
+        g = random_immersion(rng, sigma1, delta, rng.randint(2, 8))
+        if n % 3 == 0:
+            sigma2 = Alphabet(tuple(f"b{i}" for i in range(rng.randint(1, len(sigma1)))), GROUP)
+            h = compose(g, random_immersion(rng, sigma2, sigma1, rng.randint(2, 4)))
+        else:
+            sigma2 = Alphabet(tuple(f"b{i}" for i in range(rng.randint(1, m))), GROUP)
+            h = random_immersion(rng, sigma2, delta, rng.randint(2, 8))
+        yield g, h
+
+
+class TestPullback:
+    def test_matches_the_core_of_the_full_product(self):
+        rng = random.Random(89)
+        nontrivial = 0
+        for g, h in _random_immersed_pairs(rng, 150):
+            core, g_edges, h_edges = core_of_pair(g, h)
+            ref, ref_petals, ref_g_edges, ref_h_edges = _reference_core_of_pair(g, h)
+            assert export_dot(core) == export_dot(ref)
+            assert core.petals == ref_petals
+            assert (g_edges, h_edges) == (ref_g_edges, ref_h_edges)
+            ref_core = replace(ref, petals=ref_petals)
+            assert petals_to_morphisms(core, g_edges, h_edges, g, h) == petals_to_morphisms(
+                ref_core, ref_g_edges, ref_h_edges, g, h
+            )
+            nontrivial += bool(core.petals)
+        assert nontrivial >= 50
+
+    def test_builds_only_the_base_component(self, immersed_pair):
+        gb, hb = bouquet(immersed_pair.g), bouquet(immersed_pair.h)
+        component, pairs = _pullback(gb, hb)
+        prod = product(gb, hb)
+        assert component.num_vertices < prod.num_vertices
+        assert len(pairs) == len(component.edges)
+        assert core_at(component, component.base) == core_at(prod, prod.base)
 
 
 class TestPetalsToMorphisms:
