@@ -8,6 +8,7 @@ solver precondition (markedness / immersion) is violated.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -111,8 +112,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     problem = _read(args.file)
+    ball = BallSpec(args.radius, problem.mode)
     result = _solve(problem, force_set=False)
-    report = check_result(problem, result, BallSpec(args.radius, problem.mode))
+    report = check_result(problem, result, ball)
     for line in report.lines():
         sys.stdout.write(line + "\n")
     return 0 if report.passed else 1
@@ -149,7 +151,10 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first `run` and shared: `parse_args` returns a fresh
+    namespace per call, and importing the module stays cheap."""
     parser = argparse.ArgumentParser(
         prog="markedpcp",
         description="equalisers of marked free-monoid morphisms and free-group immersions",

@@ -8,7 +8,8 @@
     ...
 
 Comments start with '#', blank lines are ignored, symbols match
-[A-Za-z][A-Za-z0-9_]*.  Words use the usual syntax: whitespace-separated
+[A-Za-z][A-Za-z0-9_]* and are none of the reserved words eps, map, mode,
+sigma and delta.  Words use the usual syntax: whitespace-separated
 letters, inverses with the ^-1 suffix, `eps` for the empty word.  Group
 images must arrive freely reduced; unreduced input is an error with a
 position rather than something to fix silently, so files stay unambiguous.
@@ -23,6 +24,9 @@ from .morphisms import Morphism
 from .words import GROUP, MONOID, Alphabet, Letter, Word, format_word
 
 _SYMBOL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+# words the format gives a meaning of their own; as symbols they would be
+# misread as directives or as the empty word
+_RESERVED = frozenset(("eps", "map", "mode", "sigma", "delta"))
 
 
 class ParseError(ValueError):
@@ -64,6 +68,8 @@ def _parse_symbols(tokens: list[Token], what: str) -> tuple[str, ...]:
     for lineno, col, tok in tokens:
         if not _SYMBOL_RE.match(tok):
             raise ParseError(f"malformed {what} symbol {tok!r}", lineno, col)
+        if tok in _RESERVED:
+            raise ParseError(f"reserved word {tok!r} cannot be a {what} symbol", lineno, col)
         if tok in symbols:
             raise ParseError(f"duplicate {what} symbol {tok!r}", lineno, col)
         symbols.append(tok)

@@ -50,9 +50,6 @@ class Morphism:
         img = self.images[l.index]
         return img if l.sign > 0 else invert(img)
 
-    def image_of(self, symbol: str, sign: int = 1) -> Word:
-        return self.image(self.domain.letter(symbol, sign))
-
 
 def identity(alphabet: Alphabet) -> Morphism:
     return Morphism(
@@ -132,12 +129,14 @@ def _immersion_by_lengths(f: Morphism) -> bool:
     if any(not img for img in f.images):
         return False
     letters = f.domain.signed_letters()
+    # f(x^-1) = f(x)^-1 has the length of f(x)
+    lengths = {l: len(f.images[l.index]) for l in letters}
     for x in letters:
         for y in letters:
             if y == x.inverse():
                 continue
             xy = Word(f.domain, (x, y))
-            if len(apply(f, xy)) != len(f.image(x)) + len(f.image(y)):
+            if len(apply(f, xy)) != lengths[x] + lengths[y]:
                 return False
     return True
 

@@ -15,6 +15,11 @@ from .words import GROUP, MONOID, Alphabet, Word
 
 RawWord = tuple[tuple[int, int], ...]
 
+# enumerate_equaliser recurses once per letter of the prefix it extends, so
+# the radius must stay well inside the interpreter's default recursion limit
+# of 1000 frames, leaving room for the frames of its callers
+MAX_RADIUS = 500
+
 
 @dataclass(frozen=True)
 class BallSpec:
@@ -24,6 +29,8 @@ class BallSpec:
     def __post_init__(self) -> None:
         if self.radius < 0:
             raise ValueError("ball radius must be nonnegative")
+        if self.radius > MAX_RADIUS:
+            raise ValueError(f"ball radius {self.radius} exceeds the maximum of {MAX_RADIUS}")
         if self.mode not in (MONOID, GROUP):
             raise ValueError(f"unknown mode {self.mode!r}")
 

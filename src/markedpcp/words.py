@@ -197,10 +197,6 @@ def longest_common_prefix(u: Word, v: Word) -> Word:
     return u.prefix(n)
 
 
-def is_prefix(p: Word, w: Word) -> bool:
-    return w.letters[: len(p.letters)] == p.letters
-
-
 def ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
     """Yield every word of length <= radius in shortlex order.
 

@@ -1,4 +1,12 @@
-from markedpcp.cli import run
+import os
+import pathlib
+import subprocess
+import sys
+
+import markedpcp
+from markedpcp import cli
+from markedpcp.cli import _build_parser, run
+from markedpcp.oracle import MAX_RADIUS
 
 from conftest import FIXTURES
 
@@ -100,6 +108,27 @@ class TestOracle:
         assert run(["oracle", UNFOLDABLE, "--radius", "3"]) == 2
         assert capsys.readouterr().err != ""
 
+    def test_radius_beyond_the_maximum_is_rejected_before_solving(self, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the radius")
+
+        monkeypatch.setattr(cli, "_solve", no_solve)
+        assert run(["oracle", MARKED, "--radius", str(MAX_RADIUS + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "radius" in lines[0]
+
+    def test_maximum_radius_is_reachable(self, capsys, tmp_path):
+        # one generator mapped alike: the walk follows a^n all the way down
+        one = tmp_path / "one.pcp"
+        one.write_text("mode monoid\nsigma a\ndelta x\nmap g\na = x\nmap h\na = x\n")
+        assert run(["oracle", str(one), "--radius", str(MAX_RADIUS)]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"PASS: radius-{MAX_RADIUS} ball: {MAX_RADIUS + 1} equaliser elements"
+        )
+
 
 class TestDensity:
     def test_exact_row(self, capsys):
@@ -136,3 +165,45 @@ class TestExportDot:
     def test_bad_flags_exit_two(self, capsys):
         assert run(["export-dot", IMMERSED, "--graph", "nonsense", "-o", "x"]) == 2
         capsys.readouterr()
+
+
+def _fresh_python(args: list[str]) -> subprocess.CompletedProcess:
+    src = str(pathlib.Path(markedpcp.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_import_builds_no_parser(self):
+        code = "import markedpcp.cli as c; print(c._build_parser.cache_info().currsize)"
+        fresh = _fresh_python(["-c", code])
+        assert fresh.stdout == "0\n"
+
+    def test_repeated_calls_match_fresh_processes(self, capsys):
+        for argv in (["solve", MARKED, "--set"], ["solve", MARKED]):
+            assert run(argv) == 0
+            fresh = _fresh_python(["-m", "markedpcp.cli", *argv])
+            assert capsys.readouterr().out == fresh.stdout
+
+    def test_trace_does_not_carry_over(self, capsys, tmp_path, monkeypatch):
+        def files():
+            return {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*")}
+
+        monkeypatch.chdir(tmp_path)
+        assert run(["solve", IMMERSED, "--trace", "steps"]) == 0
+        written = files()
+        assert written
+        assert run(["solve", IMMERSED]) == 0
+        assert files() == written
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert run(["solve"]) == 2
+        assert "usage: markedpcp solve" in capsys.readouterr().err
+        assert run(["solve", MARKED]) == 0
+        assert capsys.readouterr().out == "case cycle\nbasis 1\np0 = a b\n"

@@ -97,6 +97,25 @@ class TestParseErrors:
     def test_duplicate_sigma_symbol(self):
         self.assert_position("mode monoid\nsigma a a\ndelta x\nmap g\na = x\n", 2, 9)
 
+    def test_reserved_word_as_sigma_symbol(self):
+        err = self.assert_position(
+            "mode monoid\nsigma a map\ndelta x y\nmap g\na = x\nmap = y\n", 2, 9
+        )
+        assert "reserved" in err.bare_message
+
+    def test_reserved_word_as_delta_symbol(self):
+        err = self.assert_position(
+            "mode monoid\nsigma a b\ndelta eps y\nmap g\na = eps\nb = y\n"
+            "map h\na = y\nb = eps\n",
+            3,
+            7,
+        )
+        assert "reserved" in err.bare_message
+
+    @pytest.mark.parametrize("word", ["eps", "map", "mode", "sigma", "delta"])
+    def test_every_reserved_word_is_rejected(self, word):
+        self.assert_position(f"mode group\nsigma a\ndelta x {word}\nmap g\na = x\n", 3, 9)
+
 
 class TestRoundTrip:
     def test_monoid_instances(self):

@@ -129,6 +129,36 @@ class TestIsImmersion:
             answers = [is_immersion(f, meth) for meth in ("marked", "folded", "lengths")]
             assert len(set(answers)) == 1
 
+    def test_characterisations_agree_on_larger_random_morphisms(self):
+        rng = random.Random(31)
+        seen = set()
+        for i in range(200):
+            k = rng.randint(1, 4)
+            m = rng.randint(k if i % 2 else 1, 4)
+            sigma = Alphabet(tuple(f"a{j}" for j in range(k)), GROUP)
+            delta = Alphabet(tuple(f"x{j}" for j in range(m)), GROUP)
+            if i % 2:
+                f = random_immersion(rng, sigma, delta, 8)
+            else:
+                f = random_group_morphism(rng, sigma, delta, 8)
+            answers = [is_immersion(f, meth) for meth in ("marked", "folded", "lengths", "all")]
+            assert len(set(answers)) == 1
+            seen.add(answers[0])
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("images", [("x y", "x"), ("x y", "z y")])
+    def test_lengths_sees_cancellation_against_an_inverse_image(self, images):
+        # a^-1 b cancels for (xy, x), a b^-1 for (xy, zy); no product of
+        # positive letters cancels, so only the inverse images show it
+        sigma = Alphabet(("a", "b"), GROUP)
+        delta = Alphabet(("x", "y", "z"), GROUP)
+        f = morphism(sigma, delta, *images)
+        for u in ("a a", "a b", "b a", "b b"):
+            w = parse_word(sigma, u)
+            assert len(apply(f, w)) == sum(len(f.images[l.index]) for l in w.letters)
+        assert not is_immersion(f, "lengths")
+        assert not is_immersion(f, "all")
+
     def test_require_immersion_reports_the_clash(self, unfoldable_map):
         with pytest.raises(NotMarkedError) as info:
             require_immersion(unfoldable_map, "g")
