@@ -8,10 +8,12 @@ of (edge id, direction) pairs with direction +1 (forward) or -1 (reversed).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, replace
+from typing import Callable
 
-from .morphisms import Morphism
+from .morphisms import Morphism, is_marked
 from .words import GROUP, Alphabet, Letter, Word
 
 Petal = tuple[str, tuple[tuple[int, int], ...]]
@@ -36,11 +38,6 @@ class StallingsGraph:
                 raise ValueError("edge endpoint out of range")
             if not 0 <= lab < len(self.alphabet):
                 raise ValueError("edge label out of range")
-
-    def degree(self, v: int) -> int:
-        # a loop contributes twice, so a vertex carrying only a loop is
-        # never pruned by coring
-        return sum((s == v) + (t == v) for s, t, _ in self.edges)
 
 
 def _edge_head(edge: tuple[int, int, int], direction: int) -> int:
@@ -78,9 +75,11 @@ def bouquet(f: Morphism) -> StallingsGraph:
 def is_folded_both_ways(graph: StallingsGraph) -> bool:
     """Deterministic in both directions: no two outgoing edges from a vertex
     share a label, and no two incoming edges share one."""
-    outs = Counter((s, lab) for s, _, lab in graph.edges)
-    ins = Counter((t, lab) for _, t, lab in graph.edges)
-    return all(c == 1 for c in outs.values()) and all(c == 1 for c in ins.values())
+    n = len(graph.edges)
+    return (
+        len({(s, lab) for s, _, lab in graph.edges}) == n
+        and len({(t, lab) for _, t, lab in graph.edges}) == n
+    )
 
 
 def _product_with_pairs(
@@ -123,7 +122,9 @@ def _pullback(
     g1: StallingsGraph, g2: StallingsGraph
 ) -> tuple[StallingsGraph, list[tuple[int, int]]]:
     """The component of the base pair in the product of two graphs folded
-    both ways, built by search from the base pair.
+    both ways, built by search from the base pair.  The solver reads it off
+    the images instead (`_image_pullback`); this graph form is the
+    reference that the tests hold it to.
 
     Folding makes every (vertex, label, direction) step of g2 unique, so the
     search visits only that component.  Vertices are numbered in the order
@@ -298,6 +299,96 @@ def _extract_petals(graph: StallingsGraph) -> tuple[Petal, ...]:
     return tuple((f"p{i}", path) for i, (path, _) in enumerate(oriented))
 
 
+def _petal_offsets(f: Morphism) -> tuple[list[int], list[int]]:
+    """First edge id and first interior vertex id of each generator's
+    petal, numbered as `bouquet` numbers them."""
+    first_edge: list[int] = []
+    first_vertex: list[int] = []
+    e, v = 0, 1
+    for img in f.images:
+        first_edge.append(e)
+        first_vertex.append(v)
+        e += len(img)
+        v += len(img) - 1
+    return first_edge, first_vertex
+
+
+def _image_steps(f: Morphism) -> Callable[[int], dict[Letter, tuple[int, int]]]:
+    """The steps of the bouquet of an immersion f, read off its images:
+    vertex id -> {letter: (edge id, next vertex id)}.
+
+    Interior vertex v is position q of the image of generator gi; reading
+    letter L steps forward when the image has L at q and backward when it
+    has L^-1 at q-1.  From the base, L enters the image of the signed
+    generator whose image starts with L, unique because f is marked.
+    Reading L crosses its edge forward exactly when L is positive.
+    """
+    images = [img.letters for img in f.images]
+    first_edge, first_vertex = _petal_offsets(f)
+
+    def vertex(gi: int, q: int) -> int:
+        return 0 if q in (0, len(images[gi])) else first_vertex[gi] + q - 1
+
+    from_base = {}
+    for gi, im in enumerate(images):
+        last = im[-1]
+        from_base[im[0]] = (first_edge[gi], vertex(gi, 1))
+        from_base[Letter(last.index, -last.sign)] = (
+            first_edge[gi] + len(im) - 1,
+            vertex(gi, len(im) - 1),
+        )
+
+    def steps(v: int) -> dict[Letter, tuple[int, int]]:
+        if v == 0:
+            return from_base
+        # generators with one-letter images own no interior vertex, so the
+        # last generator starting at or before v is the one holding it
+        gi = bisect_right(first_vertex, v) - 1
+        q = v - first_vertex[gi] + 1
+        im = images[gi]
+        back = im[q - 1]
+        e = first_edge[gi] + q
+        return {
+            im[q]: (e, vertex(gi, q + 1)),
+            Letter(back.index, -back.sign): (e - 1, vertex(gi, q - 1)),
+        }
+
+    return steps
+
+
+def _image_pullback(g: Morphism, h: Morphism) -> tuple[StallingsGraph, list[tuple[int, int]]]:
+    """`_pullback(bouquet(g), bouquet(h))` for two immersions, read off their
+    images without building either bouquet: the same search, vertex
+    numbering and edge order."""
+    g_steps = _image_steps(g)
+    h_steps = _image_steps(h)
+    base = (0, 0)
+    found = {base}
+    queue = [base]
+    # each edge is recorded once, when crossed forward from its source
+    crossed: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int], int]] = {}
+    for v1, v2 in queue:
+        at2 = h_steps(v2)
+        for l, (i, w1) in g_steps(v1).items():
+            hit = at2.get(l)
+            if hit is None:
+                continue
+            j, w2 = hit
+            if l.sign > 0:
+                crossed[(i, j)] = ((v1, v2), (w1, w2), l.index)
+            if (w1, w2) not in found:
+                found.add((w1, w2))
+                queue.append((w1, w2))
+    new_id = {v: k for k, v in enumerate(sorted(found))}
+    pairs = sorted(crossed)
+    edges = []
+    for p in pairs:
+        s, t, lab = crossed[p]
+        edges.append((new_id[s], new_id[t], lab))
+    graph = StallingsGraph(g.codomain, len(found), tuple(edges), new_id[base], None)
+    return graph, pairs
+
+
 def core_of_pair(
     g: Morphism, h: Morphism
 ) -> tuple[StallingsGraph, tuple[int, ...], tuple[int, ...]]:
@@ -305,17 +396,23 @@ def core_of_pair(
 
     Returns the core (with petal structure attached) and the projections of
     its edges onto the edges of the two bouquets.  Only the component of
-    the base pair is built; the result is the same as coring the full
-    `product`.  For immersions the core is always a bouquet; anything else
-    is rejected.
+    the base pair is built, and it is read off the images, so neither
+    bouquet is built; the result is the same as coring the full `product`.
+    For immersions the core is always a bouquet; anything else is rejected.
     """
     if g.codomain != h.codomain:
         raise ValueError("core of a pair needs a common codomain")
-    gb = bouquet(g)
-    hb = bouquet(h)
-    if not (is_folded_both_ways(gb) and is_folded_both_ways(hb)):
+    # rejects what building the two bouquets and checking their folding
+    # rejected, with the same messages: with nonempty images, folded is marked
+    for f in (g, h):
+        if f.mode != GROUP:
+            raise ValueError("bouquets are built from group-mode morphisms")
+        for sym, img in zip(f.domain.symbols, f.images):
+            if not img:
+                raise ValueError(f"image of {sym} is empty: petal would be degenerate")
+    if not (is_marked(g) and is_marked(h)):
         raise ValueError("core of a pair is only defined for immersions")
-    component, pairs = _pullback(gb, hb)
+    component, pairs = _image_pullback(g, h)
     core, _, kept_edges = _core_with_maps(component, component.base)
     g_edges = tuple(pairs[i][0] for i in kept_edges)
     h_edges = tuple(pairs[i][1] for i in kept_edges)
@@ -323,40 +420,43 @@ def core_of_pair(
     return replace(core, petals=petals), g_edges, h_edges
 
 
-def _petal_positions(b: StallingsGraph) -> dict[int, tuple[int, int, int]]:
-    loc = {}
-    for gi, (_, path) in enumerate(b.petals or ()):
-        for pos, (e, d) in enumerate(path):
-            loc[e] = (gi, pos, d)
-    return loc
+def _decode_paths(paths: list[list[tuple[int, int]]], f: Morphism) -> list[Word]:
+    """Read closed base-to-base paths of the bouquet of f as words in its
+    generators.
 
-
-def _decode_path(
-    path: list[tuple[int, int]], b: StallingsGraph, loc: dict[int, tuple[int, int, int]]
-) -> tuple[Letter, ...]:
-    """Read a closed base-to-base path of a bouquet as a word in its petals."""
-    out: list[Letter] = []
-    i = 0
-    while i < len(path):
-        e, d = path[i]
-        gi, pos, pd = loc[e]
-        petal_path = (b.petals or ())[gi][1]
-        n = len(petal_path)
-        if d == pd:
-            if pos != 0:
+    A generator's petal is the run of edge ids from its first edge, each
+    crossed in the direction of its letter's sign; its inverse is that run
+    reversed, crossed against those signs.
+    """
+    first_edge, _ = _petal_offsets(f)
+    petals = [(gi, e, img) for gi, (e, img) in enumerate(zip(first_edge, f.images)) if img]
+    starts = {e: gi for gi, e, _ in petals}
+    ends = {e + len(img) - 1: gi for gi, e, img in petals}
+    words = []
+    for path in paths:
+        out: list[Letter] = []
+        i = 0
+        while i < len(path):
+            e, d = path[i]
+            gi = starts.get(e)
+            if gi is not None and d == f.images[gi].first.sign:
+                sign = 1
+            else:
+                gi = ends.get(e)
+                if gi is None or d != -f.images[gi].last.sign:
+                    raise ValueError("path is not a concatenation of petal traversals")
+                sign = -1
+            im = f.images[gi].letters
+            e0 = first_edge[gi]
+            expected = [(e0 + p, l.sign) for p, l in enumerate(im)]
+            if sign < 0:
+                expected = [(e, -d) for e, d in reversed(expected)]
+            if path[i : i + len(im)] != expected:
                 raise ValueError("path is not a concatenation of petal traversals")
-            expected = list(petal_path)
-            sign = 1
-        else:
-            if pos != n - 1:
-                raise ValueError("path is not a concatenation of petal traversals")
-            expected = [(e2, -d2) for e2, d2 in reversed(petal_path)]
-            sign = -1
-        if path[i : i + n] != expected:
-            raise ValueError("path is not a concatenation of petal traversals")
-        out.append(Letter(gi, sign))
-        i += n
-    return tuple(out)
+            out.append(Letter(gi, sign))
+            i += len(im)
+        words.append(Word(f.domain, tuple(out)))
+    return words
 
 
 def petals_to_morphisms(
@@ -374,20 +474,11 @@ def petals_to_morphisms(
     """
     if core.petals is None:
         raise ValueError("core carries no petal structure")
-    gb = bouquet(g)
-    hb = bouquet(h)
-    loc_g = _petal_positions(gb)
-    loc_h = _petal_positions(hb)
     sigma2 = Alphabet(tuple(name for name, _ in core.petals), GROUP)
-    g_images = []
-    h_images = []
-    for _, path in core.petals:
-        pushed_g = [(g_edges[e], d) for e, d in path]
-        pushed_h = [(h_edges[e], d) for e, d in path]
-        g_images.append(Word(g.domain, _decode_path(pushed_g, gb, loc_g)))
-        h_images.append(Word(h.domain, _decode_path(pushed_h, hb, loc_h)))
-    g_prime = Morphism(sigma2, g.domain, tuple(g_images))
-    h_prime = Morphism(sigma2, h.domain, tuple(h_images))
+    g_paths = [[(g_edges[e], d) for e, d in path] for _, path in core.petals]
+    h_paths = [[(h_edges[e], d) for e, d in path] for _, path in core.petals]
+    g_prime = Morphism(sigma2, g.domain, tuple(_decode_paths(g_paths, g)))
+    h_prime = Morphism(sigma2, h.domain, tuple(_decode_paths(h_paths, h)))
     return g_prime, h_prime
 
 

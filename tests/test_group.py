@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from markedpcp import group, monoid
+from markedpcp import group, monoid, stallings
 from markedpcp.instances import CASE_CYCLE, CASE_SINGLE, Instance
-from markedpcp.morphisms import NotMarkedError, apply, is_immersion
+from markedpcp.morphisms import Morphism, NotMarkedError, apply, is_immersion
 from markedpcp.oracle import BallSpec, enumerate_equaliser, image_ball
 from markedpcp.words import GROUP, Alphabet, parse_word, proper_prefixes
 
@@ -247,3 +247,57 @@ class TestSolveSet:
     def test_needs_two(self, immersed_pair):
         with pytest.raises(ValueError):
             group.solve_set([immersed_pair.g], immersed_pair.sigma, immersed_pair.delta)
+
+
+def _planted_group_family(rng, size=3):
+    """`size` immersions of rank 4 into rank 8 that share the image of a0."""
+    sigma = Alphabet(tuple(f"a{i}" for i in range(4)), GROUP)
+    delta = Alphabet(tuple(f"x{i}" for i in range(8)), GROUP)
+    base = random_immersion(rng, sigma, delta, 20)
+    maps = [base]
+    while len(maps) < size:
+        f = random_immersion(rng, sigma, delta, 20)
+        f = Morphism(sigma, delta, (base.images[0],) + f.images[1:])
+        if is_immersion(f, "marked"):
+            maps.append(f)
+    return maps, sigma, delta
+
+
+class TestNoBouquetOfTheInputs:
+    """Solving reads the pair cores off the images: no bouquet of an input
+    map is built (bouquets of the reduced maps and of the embedding are,
+    by the immersion self-checks)."""
+
+    @staticmethod
+    def _record_bouquets(monkeypatch):
+        seen = []
+        real = stallings.bouquet
+
+        def recording(f):
+            seen.append(f)
+            return real(f)
+
+        monkeypatch.setattr(stallings, "bouquet", recording)
+        return seen
+
+    def test_solve_pair(self, monkeypatch):
+        rng = random.Random(107)
+        sigma = Alphabet(tuple(f"a{i}" for i in range(10)), GROUP)
+        delta = Alphabet(tuple(f"x{i}" for i in range(10)), GROUP)
+        instance = Instance(
+            random_immersion(rng, sigma, delta, 60), random_immersion(rng, sigma, delta, 60)
+        )
+        assert max(len(w) for w in instance.g.images + instance.h.images) > 30
+        seen = self._record_bouquets(monkeypatch)
+        result = group.solve_pair(instance)
+        assert result.trail
+        assert seen
+        assert all(f != instance.g and f != instance.h for f in seen)
+
+    def test_solve_set(self, monkeypatch):
+        maps, sigma, delta = _planted_group_family(random.Random(109))
+        seen = self._record_bouquets(monkeypatch)
+        result = group.solve_set(maps, sigma, delta)
+        assert len(result.basis) >= 1
+        assert seen
+        assert all(f != m for f in seen for m in maps)

@@ -8,6 +8,7 @@ from markedpcp.stallings import (
     StallingsGraph,
     _core_with_maps,
     _extract_petals,
+    _image_pullback,
     _product_with_pairs,
     _pullback,
     bouquet,
@@ -19,9 +20,9 @@ from markedpcp.stallings import (
     petals_to_morphisms,
     product,
 )
-from markedpcp.words import GROUP, Alphabet, Word, ball, empty_word, parse_word
+from markedpcp.words import GROUP, MONOID, Alphabet, Word, ball, empty_word, parse_word
 
-from support import morphism, random_group_morphism, random_immersion
+from support import morphism, random_group_morphism, random_immersion, random_marked_morphism
 
 DG = Alphabet(("x", "y", "z"), GROUP)
 
@@ -233,6 +234,96 @@ class TestPullback:
         assert component.num_vertices < prod.num_vertices
         assert len(pairs) == len(component.edges)
         assert core_at(component, component.base) == core_at(prod, prod.base)
+
+
+def _large_immersed_pairs(rng, count):
+    """Pairs of immersions into one codomain, ranks up to 10 and image
+    lengths up to 60; every third pair is g and g composed with a short
+    immersion into its domain, so its core is not trivial."""
+    for n in range(count):
+        m = rng.randint(1, 10)
+        delta = Alphabet(tuple(f"x{i}" for i in range(m)), GROUP)
+        sigma1 = Alphabet(tuple(f"a{i}" for i in range(rng.randint(1, m))), GROUP)
+        if n % 3 == 0:
+            g = random_immersion(rng, sigma1, delta, rng.randint(2, 20))
+            sigma2 = Alphabet(tuple(f"b{i}" for i in range(rng.randint(1, len(sigma1)))), GROUP)
+            h = compose(g, random_immersion(rng, sigma2, sigma1, 3))
+        else:
+            g = random_immersion(rng, sigma1, delta, rng.randint(2, 60))
+            sigma2 = Alphabet(tuple(f"b{i}" for i in range(rng.randint(1, m))), GROUP)
+            h = random_immersion(rng, sigma2, delta, rng.randint(2, 60))
+        yield g, h
+
+
+class TestImagePullback:
+    def test_matches_the_pullback_of_the_bouquets(self):
+        rng = random.Random(97)
+        nontrivial = 0
+        for g, h in _large_immersed_pairs(rng, 180):
+            component, pairs = _image_pullback(g, h)
+            ref, ref_pairs = _pullback(bouquet(g), bouquet(h))
+            assert component == ref
+            assert pairs == ref_pairs
+            nontrivial += bool(core_of_pair(g, h)[0].edges)
+        assert nontrivial >= 50
+
+    def test_single_letter_images_are_loops_at_the_base(self):
+        one = Alphabet(("a",), GROUP)
+        f = morphism(one, DG, "y^-1")
+        component, pairs = _image_pullback(f, f)
+        assert component == _pullback(bouquet(f), bouquet(f))[0]
+        assert component.edges == ((0, 0, 1),)
+        assert pairs == [(0, 0)]
+
+
+def _rejected_by_the_bouquet(f):
+    try:
+        return not is_folded_both_ways(bouquet(f))
+    except ValueError:
+        return True
+
+
+class TestCoreOfPairPrecondition:
+    def test_rejects_what_folding_the_bouquets_rejects(self):
+        rng = random.Random(101)
+        rejected = accepted = 0
+        for n in range(240):
+            k, m = rng.randint(1, 4), rng.randint(1, 4)
+            sigma = Alphabet(tuple(f"a{i}" for i in range(k)), GROUP)
+            delta = Alphabet(tuple(f"x{i}" for i in range(m)), GROUP)
+            if n % 3 == 0 and k <= m:
+                f = random_immersion(rng, sigma, delta, 5)
+            else:
+                f = random_group_morphism(rng, sigma, delta, 4)
+            if n % 5 == 0:
+                images = list(f.images)
+                images[rng.randrange(k)] = empty_word(delta)
+                f = replace(f, images=tuple(images))
+            expected = _rejected_by_the_bouquet(f)
+            if expected:
+                with pytest.raises(ValueError):
+                    core_of_pair(f, f)
+                rejected += 1
+            else:
+                core_of_pair(f, f)
+                accepted += 1
+        assert rejected >= 50 and accepted >= 50
+
+    def test_monoid_pair_rejected(self):
+        rng = random.Random(103)
+        sigma = Alphabet(("a", "b"), MONOID)
+        delta = Alphabet(("x", "y", "z"), MONOID)
+        g = random_marked_morphism(rng, sigma, delta, 3)
+        h = random_marked_morphism(rng, sigma, delta, 3)
+        with pytest.raises(ValueError):
+            core_of_pair(g, h)
+
+    def test_codomain_mismatch_rejected(self):
+        one = Alphabet(("a",), GROUP)
+        g = morphism(one, DG, "x")
+        h = morphism(one, Alphabet(("x", "y"), GROUP), "x")
+        with pytest.raises(ValueError):
+            core_of_pair(g, h)
 
 
 class TestPetalsToMorphisms:
