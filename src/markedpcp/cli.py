@@ -15,7 +15,7 @@ import sys
 from . import group as group_solver
 from . import monoid as monoid_solver
 from .fileformat import ParseError, parse, serialize, serialize_instance
-from .instances import EqualiserResult, Instance, SetInstance
+from .instances import EqualiserResult, Instance, SetInstance, prefix_complexity
 from .morphisms import NotMarkedError, is_immersion, is_marked
 from .oracle import BallSpec, check_result
 from .density import IMMERSION_GROUP, MARKED_MONOID, DensityParams, measure_density
@@ -94,7 +94,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         raise ValueError("reduce needs a file with exactly two maps")
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
-    before = group_solver.prefix_complexity(problem)
+    before = prefix_complexity(problem)
     reducer = (
         group_solver.reduce_group_instance
         if problem.mode == GROUP
@@ -103,7 +103,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     current = problem
     for _ in range(args.steps):
         current = reducer(current).after
-    after = group_solver.prefix_complexity(current)
+    after = prefix_complexity(current)
     sys.stdout.write(f"prefix_complexity_before {before}\n")
     sys.stdout.write(f"prefix_complexity_after {after}\n")
     sys.stdout.write(serialize_instance(current))

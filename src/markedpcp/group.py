@@ -1,77 +1,27 @@
-"""Prefix complexity, instance reduction through pair cores, and the full
-equaliser solver for free-group immersions, including finite families."""
+"""Instance reduction through pair cores and the equaliser solver for
+free-group immersions, including finite families.
+
+The reduce and intersect steps live here; the loop, the trail pull-back
+and the family solve are the shared driver in `instances`.
+"""
 
 from __future__ import annotations
 
 from .instances import (
-    CASE_CYCLE,
-    CASE_EMPTY,
-    CASE_LENGTH_ONE,
-    CASE_SINGLE,
     Block,
     EqualiserResult,
     Instance,
     ReductionStep,
-    canonical_form,
+    reduce_to_basis,
+    solve_family,
 )
+
+# Not used here: the tests and the benchmark's tracing (`SPANNED`) look
+# these up as `group.prefix_complexity` and `group.iteration_bound`.
+from .instances import iteration_bound, prefix_complexity  # noqa: F401
 from .morphisms import Morphism, apply, compose, is_immersion, require_immersion
 from .stallings import core_of_pair, petals_to_morphisms
-from .words import GROUP, Alphabet, Letter, Word
-
-
-def prefix_complexity(instance: Instance) -> int:
-    """Number of distinct nonempty proper prefixes of generator images,
-    counted separately for the two morphisms and added.
-
-    Group mode ranges over generators and their inverses; monoid mode over
-    the generators.
-    """
-
-    def side(f: Morphism) -> int:
-        words = [img.letters for img in f.images]
-        if f.mode == GROUP:
-            words += [tuple(l.inverse() for l in reversed(w)) for w in words]
-        # one trie node per distinct prefix, keyed by (parent node, letter)
-        nodes: dict[tuple[int, Letter], int] = {}
-        for w in words:
-            node = 0
-            for l in w[:-1]:
-                node = nodes.setdefault((node, l), len(nodes) + 1)
-        return len(nodes)
-
-    return side(instance.g) + side(instance.h)
-
-
-def iteration_bound(instance: Instance) -> int:
-    """Hard backstop on the reduction trail length.
-
-    Counts the instances whose prefix complexity cannot exceed the input's:
-    (|Delta|+1)^(2|Sigma|(s+1)) in monoid mode, (2|Delta|)^(2|Sigma|(s+1))
-    in group mode, where s is the prefix complexity.  The cycle detector
-    normally fires long before this.
-    """
-    s = prefix_complexity(instance)
-    exponent = 2 * len(instance.sigma) * (s + 1)
-    return _bound_base(instance) ** exponent
-
-
-def _bound_base(instance: Instance) -> int:
-    if instance.mode == GROUP:
-        return 2 * len(instance.delta)
-    return len(instance.delta) + 1
-
-
-def _trail_exceeds_bound(instance: Instance, steps: int) -> bool:
-    """Is a trail of `steps` reductions from `instance` longer than its
-    iteration bound?
-
-    The bound at prefix complexity zero is a floor of the bound and costs
-    nothing, so the prefix complexity is only counted once a trail outgrows
-    the floor.
-    """
-    if steps <= _bound_base(instance) ** (2 * len(instance.sigma)):
-        return False
-    return steps > iteration_bound(instance)
+from .words import GROUP, Alphabet
 
 
 def _petal_blocks(instance: Instance, g_prime: Morphism, h_prime: Morphism) -> tuple[Block, ...]:
@@ -98,77 +48,14 @@ def reduce_group_instance(instance: Instance) -> ReductionStep:
     )
 
 
-def _terminal_case(instance: Instance) -> str | None:
-    if len(instance.sigma) == 0:
-        return CASE_EMPTY
-    if len(instance.sigma) == 1:
-        return CASE_SINGLE
-    # for immersions this is exactly prefix complexity zero
-    if all(len(w) == 1 for w in instance.g.images) and all(
-        len(w) == 1 for w in instance.h.images
-    ):
-        return CASE_LENGTH_ONE
-    return None
-
-
-def _agreeing_letters(instance: Instance) -> list[Letter]:
-    return [
-        Letter(i, 1)
-        for i in range(len(instance.sigma))
-        if instance.g.images[i] == instance.h.images[i]
-    ]
-
-
-def _compose_trail(
-    start: Instance, final: Instance, trail: list[ReductionStep], case: str
-) -> EqualiserResult:
-    letters = _agreeing_letters(final)
-    names = tuple(final.sigma.symbols[l.index] for l in letters)
-    domain = Alphabet(names, start.mode)
-    images = []
-    for l in letters:
-        w = Word(final.sigma, (l,))
-        for step in reversed(trail):
-            w = apply(step.g_prime, w)
-        images.append(w)
-    embedding = Morphism(domain, start.sigma, tuple(images))
-    assert is_immersion(embedding), "equaliser embedding must immerse"
-    assert len(images) <= len(start.sigma), "rank bound violated"
-    for w in images:
-        assert apply(start.g, w) == apply(start.h, w), "basis word is not a solution"
-    return EqualiserResult(embedding, embedding.images, tuple(trail), case)
-
-
 def solve_pair(instance: Instance) -> EqualiserResult:
-    """Reduce an immersed pair until a solved shape appears.
-
-    Stops on an empty alphabet, a single generator, all images of length
-    one, or a repeat of an earlier instance up to renaming.  The embedding
-    is the composed trail restricted to the letters on which the final pair
-    agrees.
-    """
+    """Reduce an immersed pair through pair cores until a solved shape
+    appears, then pull the basis back through the trail."""
     if instance.mode != GROUP:
         raise ValueError("this solver handles group-mode instances")
     require_immersion(instance.g, instance.names[0])
     require_immersion(instance.h, instance.names[1])
-    cur = instance
-    trail: list[ReductionStep] = []
-    seen: set[tuple] = set()
-    while True:
-        case = _terminal_case(cur)
-        if case is not None:
-            break
-        key = canonical_form(cur)
-        if key in seen:
-            case = CASE_CYCLE
-            break
-        seen.add(key)
-        step = reduce_group_instance(cur)
-        trail.append(step)
-        cur = step.after
-        if _trail_exceeds_bound(instance, len(trail)):
-            raise AssertionError("iteration bound exceeded: reduction did not cycle")
-    return _compose_trail(instance, cur, trail, case)
+    return reduce_to_basis(instance, reduce_group_instance, is_immersion)
 
 
 def _intersect(psi1: Morphism, psi2: Morphism) -> Morphism:
@@ -186,24 +73,6 @@ def solve_set(
 ) -> EqualiserResult:
     """Equaliser of a finite family of immersions: solve consecutive pairs,
     then intersect the image subgroups through their pair cores."""
-    if len(morphisms) < 2:
-        raise ValueError("a set solve needs at least two morphisms")
-    for i, f in enumerate(morphisms):
-        if f.domain != sigma or f.codomain != delta:
-            raise ValueError(f"morphism {i} does not map the given alphabets")
-        require_immersion(f, f"morphism {i}")
     if sigma.mode != GROUP:
         raise ValueError("this solver handles group-mode morphisms")
-    pair_results = [
-        solve_pair(Instance(morphisms[i], morphisms[i + 1]))
-        for i in range(len(morphisms) - 1)
-    ]
-    psi = pair_results[0].embedding
-    for res in pair_results[1:]:
-        psi = _intersect(psi, res.embedding)
-    assert len(psi.images) <= len(sigma), "rank bound violated"
-    for w in psi.images:
-        first = apply(morphisms[0], w)
-        assert all(apply(f, w) == first for f in morphisms[1:])
-    trail = tuple(step for res in pair_results for step in res.trail)
-    return EqualiserResult(psi, psi.images, trail, pair_results[0].case)
+    return solve_family(morphisms, sigma, delta, require_immersion, solve_pair, _intersect)

@@ -1,11 +1,20 @@
-"""Shared solver data types: instances, reduction steps, and results."""
+"""Shared solver data types (instances, reduction steps, results) and the
+reduction driver that both solvers run.
+
+The monoid and group solvers follow one scheme: reduce the pair until it
+reaches a solved shape or repeats, read the basis off the final pair, and
+pull it back through the trail; a family is solved pair by pair and the
+images are intersected.  Only the reduce and intersect steps and the
+marked / immersion checks differ, and the solvers pass them in.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .morphisms import Morphism, compose
-from .words import Alphabet, Letter, Word
+from .morphisms import Morphism, apply, compose
+from .words import GROUP, Alphabet, Letter, Word
 
 CASE_EMPTY = "empty-alphabet"
 CASE_SINGLE = "alphabet-size-1"
@@ -137,3 +146,153 @@ def canonical_form(instance: Instance) -> tuple:
         encode(instance.g),
         encode(instance.h),
     )
+
+
+def prefix_complexity(instance: Instance) -> int:
+    """Number of distinct nonempty proper prefixes of generator images,
+    counted separately for the two morphisms and added.
+
+    Group mode ranges over generators and their inverses; monoid mode over
+    the generators.
+    """
+
+    def side(f: Morphism) -> int:
+        words = [img.letters for img in f.images]
+        if f.mode == GROUP:
+            words += [tuple(l.inverse() for l in reversed(w)) for w in words]
+        # one trie node per distinct prefix, keyed by (parent node, letter)
+        nodes: dict[tuple[int, Letter], int] = {}
+        for w in words:
+            node = 0
+            for l in w[:-1]:
+                node = nodes.setdefault((node, l), len(nodes) + 1)
+        return len(nodes)
+
+    return side(instance.g) + side(instance.h)
+
+
+def iteration_bound(instance: Instance) -> int:
+    """Hard backstop on the reduction trail length.
+
+    Counts the instances whose prefix complexity cannot exceed the input's:
+    (|Delta|+1)^(2|Sigma|(s+1)) in monoid mode, (2|Delta|)^(2|Sigma|(s+1))
+    in group mode, where s is the prefix complexity.  The cycle detector
+    normally fires long before this.
+    """
+    s = prefix_complexity(instance)
+    exponent = 2 * len(instance.sigma) * (s + 1)
+    return _bound_base(instance) ** exponent
+
+
+def _bound_base(instance: Instance) -> int:
+    if instance.mode == GROUP:
+        return 2 * len(instance.delta)
+    return len(instance.delta) + 1
+
+
+def _trail_exceeds_bound(instance: Instance, steps: int) -> bool:
+    """Is a trail of `steps` reductions from `instance` longer than its
+    iteration bound?
+
+    The bound at prefix complexity zero is a floor of the bound and costs
+    nothing, so the prefix complexity is only counted once a trail outgrows
+    the floor.
+    """
+    if steps <= _bound_base(instance) ** (2 * len(instance.sigma)):
+        return False
+    return steps > iteration_bound(instance)
+
+
+def _terminal_case(instance: Instance) -> str | None:
+    if len(instance.sigma) == 0:
+        return CASE_EMPTY
+    if len(instance.sigma) == 1:
+        return CASE_SINGLE
+    # for marked maps and immersions this is exactly prefix complexity zero
+    if all(len(w) == 1 for w in instance.g.images) and all(
+        len(w) == 1 for w in instance.h.images
+    ):
+        return CASE_LENGTH_ONE
+    return None
+
+
+def reduce_to_basis(
+    instance: Instance,
+    reduce: Callable[[Instance], ReductionStep],
+    embeds: Callable[[Morphism], bool],
+) -> EqualiserResult:
+    """Reduce a pair until a solved shape appears, then read the basis off it.
+
+    Stops on an empty alphabet, a single generator, all images of length
+    one, or a repeat of an earlier instance up to renaming.  The embedding
+    is the composed trail restricted to the letters on which the final pair
+    agrees; `embeds` is its marked / immersion self-check.
+    """
+    cur = instance
+    trail: list[ReductionStep] = []
+    seen: set[tuple] = set()
+    while True:
+        case = _terminal_case(cur)
+        if case is not None:
+            break
+        key = canonical_form(cur)
+        if key in seen:
+            case = CASE_CYCLE
+            break
+        seen.add(key)
+        step = reduce(cur)
+        trail.append(step)
+        cur = step.after
+        if _trail_exceeds_bound(instance, len(trail)):
+            raise AssertionError("iteration bound exceeded: reduction did not cycle")
+
+    letters = [
+        Letter(i, 1) for i in range(len(cur.sigma)) if cur.g.images[i] == cur.h.images[i]
+    ]
+    domain = Alphabet(tuple(cur.sigma.symbols[l.index] for l in letters), instance.mode)
+    images = []
+    for l in letters:
+        w = Word(cur.sigma, (l,))
+        for step in reversed(trail):
+            w = apply(step.g_prime, w)
+        images.append(w)
+    embedding = Morphism(domain, instance.sigma, tuple(images))
+    assert embeds(embedding), "equaliser embedding fails its marked / immersion check"
+    assert len(images) <= len(instance.sigma), "rank bound violated"
+    for w in images:
+        assert apply(instance.g, w) == apply(instance.h, w), "basis word is not a solution"
+    return EqualiserResult(embedding, embedding.images, tuple(trail), case)
+
+
+def solve_family(
+    morphisms: list[Morphism],
+    sigma: Alphabet,
+    delta: Alphabet,
+    require: Callable[[Morphism, str], None],
+    solve_pair: Callable[[Instance], EqualiserResult],
+    intersect: Callable[[Morphism, Morphism], Morphism],
+) -> EqualiserResult:
+    """Equaliser of a finite family: solve consecutive pairs, then intersect
+    their images.  Agreement on consecutive pairs chains to the whole family.
+
+    `require` is the marked / immersion precondition, checked per morphism.
+    """
+    if len(morphisms) < 2:
+        raise ValueError("a set solve needs at least two morphisms")
+    for i, f in enumerate(morphisms):
+        if f.domain != sigma or f.codomain != delta:
+            raise ValueError(f"morphism {i} does not map the given alphabets")
+        require(f, f"morphism {i}")
+    pair_results = [
+        solve_pair(Instance(morphisms[i], morphisms[i + 1]))
+        for i in range(len(morphisms) - 1)
+    ]
+    psi = pair_results[0].embedding
+    for res in pair_results[1:]:
+        psi = intersect(psi, res.embedding)
+    assert len(psi.images) <= len(sigma), "rank bound violated"
+    for w in psi.images:
+        first = apply(morphisms[0], w)
+        assert all(apply(f, w) == first for f in morphisms[1:])
+    trail = tuple(step for res in pair_results for step in res.trail)
+    return EqualiserResult(psi, psi.images, trail, pair_results[0].case)

@@ -1,19 +1,19 @@
-"""Blocks, instance reduction, and the full equaliser solver for marked
-free-monoid morphisms, including finite families of them."""
+"""Blocks, instance reduction, and the equaliser solver for marked
+free-monoid morphisms, including finite families of them.
+
+The reduce and intersect steps live here; the loop, the trail pull-back
+and the family solve are the shared driver in `instances`.
+"""
 
 from __future__ import annotations
 
-from .group import _trail_exceeds_bound
 from .instances import (
-    CASE_CYCLE,
-    CASE_EMPTY,
-    CASE_LENGTH_ONE,
-    CASE_SINGLE,
     Block,
     EqualiserResult,
     Instance,
     ReductionStep,
-    canonical_form,
+    reduce_to_basis,
+    solve_family,
 )
 from .morphisms import Morphism, apply, is_marked, require_marked
 from .words import MONOID, Alphabet, Letter, Word
@@ -128,75 +128,14 @@ def reduce_instance(instance: Instance) -> ReductionStep:
     return ReductionStep(instance, after, g_prime, h_prime, blocks)
 
 
-def _terminal_case(instance: Instance) -> str | None:
-    if len(instance.sigma) == 0:
-        return CASE_EMPTY
-    if len(instance.sigma) == 1:
-        return CASE_SINGLE
-    if all(len(w) == 1 for w in instance.g.images) and all(
-        len(w) == 1 for w in instance.h.images
-    ):
-        return CASE_LENGTH_ONE
-    return None
-
-
-def _agreeing_letters(instance: Instance) -> list[Letter]:
-    return [
-        Letter(i, 1)
-        for i in range(len(instance.sigma))
-        if instance.g.images[i] == instance.h.images[i]
-    ]
-
-
-def _compose_trail(
-    start: Instance, final: Instance, trail: list[ReductionStep], case: str
-) -> EqualiserResult:
-    letters = _agreeing_letters(final)
-    names = tuple(final.sigma.symbols[l.index] for l in letters)
-    domain = Alphabet(names, start.mode)
-    images = []
-    for l in letters:
-        w = Word(final.sigma, (l,))
-        for step in reversed(trail):
-            w = apply(step.g_prime, w)
-        images.append(w)
-    embedding = Morphism(domain, start.sigma, tuple(images))
-    assert is_marked(embedding), "equaliser embedding must be marked"
-    assert len(images) <= len(start.sigma), "rank bound violated"
-    for w in images:
-        assert apply(start.g, w) == apply(start.h, w), "basis word is not a solution"
-    return EqualiserResult(embedding, embedding.images, tuple(trail), case)
-
-
 def solve_pair(instance: Instance) -> EqualiserResult:
-    """Reduce until a solved shape appears, then read the basis off it.
-
-    Stops on an empty alphabet, a single generator, all images of length
-    one, or a repeat of an earlier instance up to renaming; the composed
-    trail restricted to the basis letters is the returned embedding.
-    """
+    """Reduce a marked pair through blocks until a solved shape appears,
+    then pull the basis back through the trail."""
     if instance.mode != MONOID:
         raise ValueError("this solver handles monoid-mode instances")
     require_marked(instance.g, instance.names[0])
     require_marked(instance.h, instance.names[1])
-    cur = instance
-    trail: list[ReductionStep] = []
-    seen: set[tuple] = set()
-    while True:
-        case = _terminal_case(cur)
-        if case is not None:
-            break
-        key = canonical_form(cur)
-        if key in seen:
-            case = CASE_CYCLE
-            break
-        seen.add(key)
-        step = reduce_instance(cur)
-        trail.append(step)
-        cur = step.after
-        if _trail_exceeds_bound(instance, len(trail)):
-            raise AssertionError("iteration bound exceeded: reduction did not cycle")
-    return _compose_trail(instance, cur, trail, case)
+    return reduce_to_basis(instance, reduce_instance, is_marked)
 
 
 def _intersect(psi1: Morphism, psi2: Morphism) -> Morphism:
@@ -214,27 +153,8 @@ def _intersect(psi1: Morphism, psi2: Morphism) -> Morphism:
 def solve_set(
     morphisms: list[Morphism], sigma: Alphabet, delta: Alphabet
 ) -> EqualiserResult:
-    """Equaliser of a finite family: solve consecutive pairs, then intersect
-    their images.  Agreement on consecutive pairs chains to the whole family.
-    """
-    if len(morphisms) < 2:
-        raise ValueError("a set solve needs at least two morphisms")
-    for i, f in enumerate(morphisms):
-        if f.domain != sigma or f.codomain != delta:
-            raise ValueError(f"morphism {i} does not map the given alphabets")
-        require_marked(f, f"morphism {i}")
+    """Equaliser of a finite family of marked morphisms: solve consecutive
+    pairs, then intersect their images through blocks."""
     if sigma.mode != MONOID:
         raise ValueError("this solver handles monoid-mode morphisms")
-    pair_results = [
-        solve_pair(Instance(morphisms[i], morphisms[i + 1]))
-        for i in range(len(morphisms) - 1)
-    ]
-    psi = pair_results[0].embedding
-    for res in pair_results[1:]:
-        psi = _intersect(psi, res.embedding)
-    assert len(psi.images) <= len(sigma), "rank bound violated"
-    for w in psi.images:
-        first = apply(morphisms[0], w)
-        assert all(apply(f, w) == first for f in morphisms[1:])
-    trail = tuple(step for res in pair_results for step in res.trail)
-    return EqualiserResult(psi, psi.images, trail, pair_results[0].case)
+    return solve_family(morphisms, sigma, delta, require_marked, solve_pair, _intersect)

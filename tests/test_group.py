@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from markedpcp import group, monoid, stallings
+from markedpcp import group, instances, monoid, stallings
 from markedpcp.instances import CASE_CYCLE, CASE_SINGLE, Instance
 from markedpcp.morphisms import Morphism, NotMarkedError, apply, is_immersion
 from markedpcp.oracle import BallSpec, enumerate_equaliser, image_ball
@@ -78,8 +78,7 @@ class TestIterationBackstop:
         }[mode]
         # every instance looks new, so only the backstop can end the trail
         fresh = itertools.count()
-        monkeypatch.setattr(group, "canonical_form", lambda _: next(fresh))
-        monkeypatch.setattr(monoid, "canonical_form", lambda _: next(fresh))
+        monkeypatch.setattr(instances, "canonical_form", lambda _: next(fresh))
         # the cheap floor of the bound: (2|Delta|)^(2|Sigma|), (|Delta|+1)^(2|Sigma|)
         floor = {"group": 4**4, "monoid": 3**4}[mode]
         bound_calls = []
@@ -88,7 +87,7 @@ class TestIterationBackstop:
             bound_calls.append(instance)
             return floor + 2
 
-        monkeypatch.setattr(group, "iteration_bound", small_bound)
+        monkeypatch.setattr(instances, "iteration_bound", small_bound)
         steps = itertools.count(1)
         reduce = getattr(solver, reduce_name)
 
@@ -109,8 +108,8 @@ class TestIterationBackstop:
         def refuse(instance):
             raise AssertionError("iteration bound computed")
 
-        monkeypatch.setattr(group, "iteration_bound", refuse)
-        monkeypatch.setattr(group, "prefix_complexity", refuse)
+        monkeypatch.setattr(instances, "iteration_bound", refuse)
+        monkeypatch.setattr(instances, "prefix_complexity", refuse)
         assert group.solve_pair(_cycling_group_pair()).case == CASE_CYCLE
         group.solve_pair(immersed_pair)
         assert monoid.solve_pair(marked_pair).case == CASE_CYCLE
