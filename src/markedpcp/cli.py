@@ -49,10 +49,9 @@ def _write_trace(result: EqualiserResult, directory: str) -> None:
         base = os.path.join(directory, f"step_{i:03d}")
         with open(base + ".pcp", "w", encoding="utf-8") as handle:
             handle.write(serialize_instance(step.after))
-        if step.before.mode == GROUP:
-            core, _, _ = core_of_pair(step.before.g, step.before.h)
+        if step.core is not None:
             with open(base + "_core.dot", "w", encoding="utf-8") as handle:
-                handle.write(export_dot(core))
+                handle.write(export_dot(step.core))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

@@ -21,9 +21,8 @@ import re
 
 from .instances import EqualiserResult, Instance, SetInstance
 from .morphisms import Morphism
-from .words import GROUP, MONOID, Alphabet, Letter, Word, format_word
+from .words import _SYMBOL_RE, GROUP, MONOID, Alphabet, Letter, Word, format_word
 
-_SYMBOL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 # words the format gives a meaning of their own; as symbols they would be
 # misread as directives or as the empty word
 _RESERVED = frozenset(("eps", "map", "mode", "sigma", "delta"))
@@ -78,7 +77,7 @@ def _parse_symbols(tokens: list[Token], what: str) -> tuple[str, ...]:
 
 def _parse_image(tokens: list[Token], delta: Alphabet, mode: str) -> Word:
     if len(tokens) == 1 and tokens[0][2] == "eps":
-        return Word(delta, ())
+        return Word._trusted(delta, ())
     letters: list[Letter] = []
     for lineno, col, tok in tokens:
         if tok == "eps":
@@ -96,7 +95,7 @@ def _parse_image(tokens: list[Token], delta: Alphabet, mode: str) -> Word:
         if mode == GROUP and letters and letters[-1] == letter.inverse():
             raise ParseError("image is not freely reduced here", lineno, col)
         letters.append(letter)
-    return Word(delta, tuple(letters))
+    return Word._trusted(delta, tuple(letters))
 
 
 def parse(text: str) -> Instance | SetInstance:

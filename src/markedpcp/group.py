@@ -44,7 +44,7 @@ def reduce_group_instance(instance: Instance) -> ReductionStep:
     assert len(g_prime.domain) <= len(instance.sigma), "reduction cannot grow the alphabet"
     after = Instance(g_prime, h_prime)
     return ReductionStep(
-        instance, after, g_prime, h_prime, _petal_blocks(instance, g_prime, h_prime)
+        instance, after, g_prime, h_prime, _petal_blocks(instance, g_prime, h_prime), core
     )
 
 

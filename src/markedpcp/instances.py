@@ -10,11 +10,14 @@ marked / immersion checks differ, and the solvers pass them in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 from .morphisms import Morphism, apply, compose
 from .words import GROUP, Alphabet, Letter, Word
+
+if TYPE_CHECKING:
+    from .stallings import StallingsGraph
 
 CASE_EMPTY = "empty-alphabet"
 CASE_SINGLE = "alphabet-size-1"
@@ -96,13 +99,15 @@ class Block:
 @dataclass(frozen=True)
 class ReductionStep:
     """One instance reduction; g_prime and h_prime carry the new generators
-    to words over the previous domain, and g o g_prime = h o h_prime."""
+    to words over the previous domain, and g o g_prime = h o h_prime.  A
+    group step keeps the pair core it was read off."""
 
     before: Instance
     after: Instance
     g_prime: Morphism
     h_prime: Morphism
     blocks: tuple[Block, ...]
+    core: StallingsGraph | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -252,11 +257,11 @@ def reduce_to_basis(
     domain = Alphabet(tuple(cur.sigma.symbols[l.index] for l in letters), instance.mode)
     images = []
     for l in letters:
-        w = Word(cur.sigma, (l,))
+        w = Word._trusted(cur.sigma, (l,))
         for step in reversed(trail):
             w = apply(step.g_prime, w)
         images.append(w)
-    embedding = Morphism(domain, instance.sigma, tuple(images))
+    embedding = Morphism._trusted(domain, instance.sigma, tuple(images))
     assert embeds(embedding), "equaliser embedding fails its marked / immersion check"
     assert len(images) <= len(instance.sigma), "rank bound violated"
     for w in images:

@@ -105,7 +105,9 @@ def compute_blocks(g: Morphism, h: Morphism) -> tuple[Block, ...]:
         if found is None:
             continue
         u, v = found
-        blocks.append(Block(a, Word(g.domain, tuple(u)), Word(h.domain, tuple(v))))
+        blocks.append(
+            Block(a, Word._trusted(g.domain, tuple(u)), Word._trusted(h.domain, tuple(v)))
+        )
     return tuple(blocks)
 
 
@@ -120,8 +122,8 @@ def reduce_instance(instance: Instance) -> ReductionStep:
         raise ValueError("monoid reduction needs a monoid-mode instance")
     blocks = compute_blocks(instance.g, instance.h)
     sigma2 = Alphabet(tuple(f"p{i}" for i in range(len(blocks))), MONOID)
-    g_prime = Morphism(sigma2, instance.sigma, tuple(b.u for b in blocks))
-    h_prime = Morphism(sigma2, instance.sigma, tuple(b.v for b in blocks))
+    g_prime = Morphism._trusted(sigma2, instance.sigma, tuple(b.u for b in blocks))
+    h_prime = Morphism._trusted(sigma2, instance.sigma, tuple(b.v for b in blocks))
     assert is_marked(g_prime) and is_marked(h_prime), "block maps must be marked"
     assert len(sigma2) <= len(instance.sigma), "reduction cannot grow the alphabet"
     after = Instance(g_prime, h_prime)
@@ -145,7 +147,7 @@ def _intersect(psi1: Morphism, psi2: Morphism) -> Morphism:
     images = tuple(apply(psi1, b.u) for b in blocks)
     other = tuple(apply(psi2, b.v) for b in blocks)
     assert images == other, "intersection maps disagree"
-    k = Morphism(domain, psi1.codomain, images)
+    k = Morphism._trusted(domain, psi1.codomain, images)
     assert is_marked(k)
     return k
 

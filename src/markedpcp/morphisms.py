@@ -41,6 +41,19 @@ class Morphism:
             if img.alphabet != self.codomain:
                 raise ValueError(f"image of {sym} does not lie over the codomain")
 
+    @classmethod
+    def _trusted(
+        cls, domain: Alphabet, codomain: Alphabet, images: tuple[Word, ...]
+    ) -> "Morphism":
+        """A morphism the caller has built correctly: alphabets of one mode
+        and a tuple of one image per generator, each over the codomain.
+        Nothing is checked, so this is for solver-internal values only."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "domain", domain)
+        object.__setattr__(f, "codomain", codomain)
+        object.__setattr__(f, "images", images)
+        return f
+
     @property
     def mode(self) -> str:
         return self.domain.mode
@@ -52,8 +65,10 @@ class Morphism:
 
 
 def identity(alphabet: Alphabet) -> Morphism:
-    return Morphism(
-        alphabet, alphabet, tuple(Word(alphabet, (l,)) for l in alphabet.positive_letters())
+    return Morphism._trusted(
+        alphabet,
+        alphabet,
+        tuple(Word._trusted(alphabet, (l,)) for l in alphabet.positive_letters()),
     )
 
 
@@ -71,14 +86,14 @@ def apply(f: Morphism, w: Word) -> Word:
                 out.pop()
             else:
                 out.append(x)
-    return Word(f.codomain, tuple(out))
+    return Word._trusted(f.codomain, tuple(out))
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
     """The composite f after g, defined by a -> f(g(a))."""
     if g.codomain != f.domain:
         raise ValueError("codomain of the inner morphism must equal the outer domain")
-    return Morphism(g.domain, f.codomain, tuple(apply(f, img) for img in g.images))
+    return Morphism._trusted(g.domain, f.codomain, tuple(apply(f, img) for img in g.images))
 
 
 def _first_letter_clash(f: Morphism) -> tuple[str, str] | None:
@@ -87,8 +102,25 @@ def _first_letter_clash(f: Morphism) -> tuple[str, str] | None:
     Monoid mode looks at the generator images; group mode at the images of
     all generators and their inverses.  The arity bound (at most one image
     per codomain letter) is a consequence of the distinctness check, so no
-    separate size test is needed.
+    separate size test is needed.  A set of first letters decides marked
+    maps; only a clash or an empty image walks the letters to name it.
     """
+    images = [img.letters for img in f.images]
+    try:
+        firsts = {w[0] for w in images}
+        if f.domain.mode == GROUP:
+            firsts.update([Letter(w[-1].index, -w[-1].sign) for w in images])
+            if len(firsts) == 2 * len(images):
+                return None
+        elif len(firsts) == len(images):
+            return None
+    except IndexError:  # an empty image
+        pass
+    return _name_clash(f)
+
+
+def _name_clash(f: Morphism) -> tuple[str, str] | None:
+    """The first empty image or first-letter clash, in signed-letter order."""
     seen: dict[Letter, Letter] = {}
     for l in f.domain.signed_letters():
         img = f.images[l.index]
@@ -135,7 +167,7 @@ def _immersion_by_lengths(f: Morphism) -> bool:
         for y in letters:
             if y == x.inverse():
                 continue
-            xy = Word(f.domain, (x, y))
+            xy = Word._trusted(f.domain, (x, y))
             if len(apply(f, xy)) != lengths[x] + lengths[y]:
                 return False
     return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .morphisms import Morphism, is_marked
@@ -38,6 +38,26 @@ class StallingsGraph:
                 raise ValueError("edge endpoint out of range")
             if not 0 <= lab < len(self.alphabet):
                 raise ValueError("edge label out of range")
+
+    @classmethod
+    def _trusted(
+        cls,
+        alphabet: Alphabet,
+        num_vertices: int,
+        edges: tuple[tuple[int, int, int], ...],
+        base: int = 0,
+        petals: tuple[Petal, ...] | None = None,
+    ) -> "StallingsGraph":
+        """A graph the caller has built correctly: a tuple of edge triples
+        with endpoints and labels in range, and the base a vertex.  Nothing
+        is checked, so this is for solver-internal values only."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "alphabet", alphabet)
+        object.__setattr__(graph, "num_vertices", num_vertices)
+        object.__setattr__(graph, "edges", edges)
+        object.__setattr__(graph, "base", base)
+        object.__setattr__(graph, "petals", petals)
+        return graph
 
 
 def _edge_head(edge: tuple[int, int, int], direction: int) -> int:
@@ -69,7 +89,7 @@ def bouquet(f: Morphism) -> StallingsGraph:
                 path.append((len(edges) - 1, -1))
             prev = nxt
         petals.append((sym, tuple(path)))
-    return StallingsGraph(f.codomain, num_vertices, tuple(edges), 0, tuple(petals))
+    return StallingsGraph._trusted(f.codomain, num_vertices, tuple(edges), 0, tuple(petals))
 
 
 def is_folded_both_ways(graph: StallingsGraph) -> bool:
@@ -102,7 +122,7 @@ def _product_with_pairs(
             s2, t2, _ = g2.edges[j]
             edges.append((vid(s1, s2), vid(t1, t2), lab))
             pairs.append((i, j))
-    prod = StallingsGraph(
+    prod = StallingsGraph._trusted(
         g1.alphabet,
         g1.num_vertices * n2,
         tuple(edges),
@@ -161,7 +181,7 @@ def _pullback(
         s1, t1, lab = g1.edges[i]
         s2, t2, _ = g2.edges[j]
         edges.append((new_id[(s1, s2)], new_id[(t1, t2)], lab))
-    graph = StallingsGraph(g1.alphabet, len(found), tuple(edges), new_id[base], None)
+    graph = StallingsGraph._trusted(g1.alphabet, len(found), tuple(edges), new_id[base], None)
     return graph, pairs
 
 
@@ -223,7 +243,7 @@ def _core_with_maps(
         (new_id[graph.edges[i][0]], new_id[graph.edges[i][1]], graph.edges[i][2])
         for i in kept_edges
     )
-    core = StallingsGraph(graph.alphabet, len(kept_vertices), edges, new_id[v], None)
+    core = StallingsGraph._trusted(graph.alphabet, len(kept_vertices), edges, new_id[v], None)
     return core, kept_vertices, kept_edges
 
 
@@ -385,7 +405,7 @@ def _image_pullback(g: Morphism, h: Morphism) -> tuple[StallingsGraph, list[tupl
     for p in pairs:
         s, t, lab = crossed[p]
         edges.append((new_id[s], new_id[t], lab))
-    graph = StallingsGraph(g.codomain, len(found), tuple(edges), new_id[base], None)
+    graph = StallingsGraph._trusted(g.codomain, len(found), tuple(edges), new_id[base], None)
     return graph, pairs
 
 
@@ -417,7 +437,8 @@ def core_of_pair(
     g_edges = tuple(pairs[i][0] for i in kept_edges)
     h_edges = tuple(pairs[i][1] for i in kept_edges)
     petals = _extract_petals(core)
-    return replace(core, petals=petals), g_edges, h_edges
+    core = StallingsGraph._trusted(core.alphabet, core.num_vertices, core.edges, core.base, petals)
+    return core, g_edges, h_edges
 
 
 def _decode_paths(paths: list[list[tuple[int, int]]], f: Morphism) -> list[Word]:
@@ -455,7 +476,7 @@ def _decode_paths(paths: list[list[tuple[int, int]]], f: Morphism) -> list[Word]
                 raise ValueError("path is not a concatenation of petal traversals")
             out.append(Letter(gi, sign))
             i += len(im)
-        words.append(Word(f.domain, tuple(out)))
+        words.append(Word._trusted(f.domain, tuple(out)))
     return words
 
 
@@ -477,8 +498,8 @@ def petals_to_morphisms(
     sigma2 = Alphabet(tuple(name for name, _ in core.petals), GROUP)
     g_paths = [[(g_edges[e], d) for e, d in path] for _, path in core.petals]
     h_paths = [[(h_edges[e], d) for e, d in path] for _, path in core.petals]
-    g_prime = Morphism(sigma2, g.domain, tuple(_decode_paths(g_paths, g)))
-    h_prime = Morphism(sigma2, h.domain, tuple(_decode_paths(h_paths, h)))
+    g_prime = Morphism._trusted(sigma2, g.domain, tuple(_decode_paths(g_paths, g)))
+    h_prime = Morphism._trusted(sigma2, h.domain, tuple(_decode_paths(h_paths, h)))
     return g_prime, h_prime
 
 

@@ -5,6 +5,8 @@ symbol names and alphabets of any size work uniformly.  Group-mode words are
 kept freely reduced at all times: the `Word` constructor rejects a sequence
 containing an adjacent cancelling pair, and `free_reduce` is the constructor
 for raw letter sequences.  Equality is therefore plain sequence equality.
+Solver code that has just built a word correctly uses `Word._trusted`,
+which skips these checks.
 """
 
 from __future__ import annotations
@@ -91,14 +93,7 @@ class Word:
     def __post_init__(self) -> None:
         letters = tuple(Letter(i, s) for (i, s) in self.letters)
         object.__setattr__(self, "letters", letters)
-        n = len(self.alphabet)
-        for pos, l in enumerate(letters):
-            if not 0 <= l.index < n:
-                raise ValueError(f"letter index {l.index} out of range at position {pos}")
-            if l.sign not in (1, -1):
-                raise ValueError(f"bad letter sign {l.sign} at position {pos}")
-            if l.sign < 0 and self.alphabet.mode == MONOID:
-                raise ValueError(f"monoid word contains inverse letter at position {pos}")
+        _check_letters(self.alphabet, letters)
         if self.alphabet.mode == GROUP:
             for pos in range(len(letters) - 1):
                 if letters[pos] == letters[pos + 1].inverse():
@@ -106,6 +101,16 @@ class Word:
                         f"group word not freely reduced at position {pos}"
                         " (use free_reduce for raw sequences)"
                     )
+
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, letters: tuple[Letter, ...]) -> "Word":
+        """A word the caller has built correctly: `letters` is a tuple of
+        `Letter`s over `alphabet`, freely reduced in group mode.  Nothing is
+        checked, so this is for solver-internal values only."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "alphabet", alphabet)
+        object.__setattr__(w, "letters", letters)
+        return w
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -128,11 +133,22 @@ class Word:
         return self.letters[-1]
 
     def prefix(self, length: int) -> "Word":
-        return Word(self.alphabet, self.letters[:length])
+        return Word._trusted(self.alphabet, self.letters[:length])
 
     def sort_key(self) -> tuple:
         """Shortlex key: length first, then letter order."""
         return (len(self.letters), tuple(l.sort_key() for l in self.letters))
+
+
+def _check_letters(alphabet: Alphabet, letters: tuple[Letter, ...]) -> None:
+    n = len(alphabet)
+    for pos, l in enumerate(letters):
+        if not 0 <= l.index < n:
+            raise ValueError(f"letter index {l.index} out of range at position {pos}")
+        if l.sign not in (1, -1):
+            raise ValueError(f"bad letter sign {l.sign} at position {pos}")
+        if l.sign < 0 and alphabet.mode == MONOID:
+            raise ValueError(f"monoid word contains inverse letter at position {pos}")
 
 
 def empty_word(alphabet: Alphabet) -> Word:
@@ -156,7 +172,9 @@ def free_reduce(alphabet: Alphabet, letters: Iterable[Letter]) -> Word:
     """
     if alphabet.mode != GROUP:
         raise ValueError("free reduction is only defined in group mode")
-    return Word(alphabet, _reduce_letters(Letter(i, s) for (i, s) in letters))
+    reduced = _reduce_letters(Letter(i, s) for (i, s) in letters)
+    _check_letters(alphabet, reduced)
+    return Word._trusted(alphabet, reduced)
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -164,21 +182,21 @@ def concat(u: Word, v: Word) -> Word:
     if u.alphabet != v.alphabet:
         raise ValueError("cannot concatenate words over different alphabets")
     if u.alphabet.mode == MONOID:
-        return Word(u.alphabet, u.letters + v.letters)
+        return Word._trusted(u.alphabet, u.letters + v.letters)
     # both already reduced, so cancellation only happens at the junction
     left = list(u.letters)
     i = 0
     while left and i < len(v.letters) and left[-1] == v.letters[i].inverse():
         left.pop()
         i += 1
-    return Word(u.alphabet, tuple(left) + v.letters[i:])
+    return Word._trusted(u.alphabet, tuple(left) + v.letters[i:])
 
 
 def invert(w: Word) -> Word:
     """Group inverse; an involution with concat(w, invert(w)) empty."""
     if w.alphabet.mode != GROUP:
         raise ValueError("inversion is only defined in group mode")
-    return Word(w.alphabet, tuple(l.inverse() for l in reversed(w.letters)))
+    return Word._trusted(w.alphabet, tuple(l.inverse() for l in reversed(w.letters)))
 
 
 def proper_prefixes(w: Word) -> set[Word]:

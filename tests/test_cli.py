@@ -4,8 +4,9 @@ import subprocess
 import sys
 
 import markedpcp
-from markedpcp import cli
+from markedpcp import cli, group, stallings
 from markedpcp.cli import _build_parser, run
+from markedpcp.fileformat import parse
 from markedpcp.oracle import MAX_RADIUS
 
 from conftest import FIXTURES
@@ -36,6 +37,29 @@ class TestSolve:
         names = sorted(p.name for p in trace.iterdir())
         assert names[0] == "step_000.pcp"
         assert "step_000_core.dot" in names
+
+    def test_trace_writes_the_core_each_step_built(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = stallings.core_of_pair
+
+        def counting(g, h):
+            calls.append((g, h))
+            return real(g, h)
+
+        for module in (stallings, group, cli):
+            monkeypatch.setattr(module, "core_of_pair", counting)
+        trace = tmp_path / "steps"
+        assert run(["solve", IMMERSED, "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        monkeypatch.undo()
+        result = group.solve_pair(parse(pathlib.Path(IMMERSED).read_text()))
+        assert len(calls) == len(result.trail) > 0
+        cores = sorted(p.name for p in trace.glob("*_core.dot"))
+        assert cores == [f"step_{i:03d}_core.dot" for i in range(len(result.trail))]
+        for i, step in enumerate(result.trail):
+            core, _, _ = stallings.core_of_pair(step.before.g, step.before.h)
+            expected = stallings.export_dot(core).encode()
+            assert (trace / f"step_{i:03d}_core.dot").read_bytes() == expected
 
     def test_deterministic_output(self, capsys):
         run(["solve", MARKED])

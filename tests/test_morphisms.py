@@ -3,7 +3,9 @@ import random
 import pytest
 
 from markedpcp.morphisms import (
+    Morphism,
     NotMarkedError,
+    _first_letter_clash,
     apply,
     compose,
     greedy_decode,
@@ -14,12 +16,36 @@ from markedpcp.morphisms import (
     require_immersion,
     require_marked,
 )
-from markedpcp.words import GROUP, MONOID, Alphabet, empty_word, parse_word
+from markedpcp.words import (
+    GROUP,
+    MONOID,
+    Alphabet,
+    Word,
+    empty_word,
+    format_letter,
+    free_reduce,
+    parse_word,
+)
 
 from support import morphism, random_group_morphism, random_immersion, random_marked_morphism
 
 SM = Alphabet(("a", "b"), MONOID)
 DM = Alphabet(("x", "y"), MONOID)
+
+
+class TestMorphismConstructor:
+    def test_mode_mismatch(self):
+        with pytest.raises(ValueError, match="share a mode"):
+            Morphism(SM, Alphabet(("x", "y"), GROUP), ())
+
+    def test_wrong_number_of_images(self):
+        with pytest.raises(ValueError, match="expected 2 images, got 1"):
+            Morphism(SM, DM, (parse_word(DM, "x"),))
+
+    def test_image_over_the_wrong_codomain(self):
+        other = Alphabet(("x", "z"), MONOID)
+        with pytest.raises(ValueError, match="image of b does not lie over the codomain"):
+            Morphism(SM, DM, (parse_word(DM, "x"), parse_word(other, "z")))
 
 
 class TestApply:
@@ -219,3 +245,100 @@ class TestGreedyDecode:
     def test_requires_marked(self):
         with pytest.raises(NotMarkedError):
             greedy_decode(morphism(SM, DM, "x", "x x"), parse_word(DM, "x"))
+
+
+def _reference_clash(f):
+    """The marking check's naming walk, kept here as the reference: the
+    first empty image, or the first two signed generators whose images
+    start with the same letter, in signed-letter order."""
+    seen = {}
+    for l in f.domain.signed_letters():
+        img = f.images[l.index]
+        if not img:
+            return (format_letter(f.domain, l), "")
+        first = img.first if l.sign > 0 else img.last.inverse()
+        if first in seen:
+            return (format_letter(f.domain, seen[first]), format_letter(f.domain, l))
+        seen[first] = l
+    return None
+
+
+def _with_image(f, i, letters):
+    images = list(f.images)
+    if f.mode == GROUP:
+        images[i] = free_reduce(f.codomain, letters)
+    else:
+        images[i] = Word(f.codomain, tuple(letters))
+    return Morphism(f.domain, f.codomain, tuple(images))
+
+
+def _clash_cases(rng, mode):
+    """Seeded maps of four kinds: marked, two images with one first letter,
+    (group) an inverse image starting like another image, an empty image."""
+    for n in range(240):
+        k = rng.randint(1, 4)
+        m = rng.randint(k, 5)
+        sigma = Alphabet(tuple(f"a{j}" for j in range(k)), mode)
+        delta = Alphabet(tuple(f"x{j}" for j in range(m)), mode)
+        if mode == MONOID:
+            f = random_marked_morphism(rng, sigma, delta, 4)
+        else:
+            f = random_immersion(rng, sigma, delta, 5)
+        kind = n % 4
+        i, j = rng.randrange(k), rng.randrange(k)
+        if kind == 1 and k > 1 and i != j:
+            # image i takes image j's first letter
+            f = _with_image(f, i, (f.images[j].first,) + f.images[i].letters[1:])
+        elif kind == 2 and mode == GROUP:
+            # image i ends with the inverse of image j's first letter, so the
+            # inverse of image i starts like image j (j == i included)
+            last = f.images[j].first.inverse()
+            f = _with_image(f, i, f.images[i].letters + (last,))
+        elif kind == 3:
+            f = _with_image(f, i, ())
+        yield f
+
+
+class TestMarkingCheckAgreement:
+    """The set-based marking check returns what the naming walk returns,
+    so every rejection message and `.generator` stays the same."""
+
+    @pytest.mark.parametrize("mode", [MONOID, GROUP])
+    def test_same_clash_as_the_walk(self, mode):
+        rng = random.Random(41 if mode == MONOID else 43)
+        outcomes = []
+        for f in _clash_cases(rng, mode):
+            expected = _reference_clash(f)
+            assert _first_letter_clash(f) == expected
+            assert is_marked(f) == (expected is None)
+            if expected is None:
+                outcomes.append("marked")
+            elif not expected[1]:
+                outcomes.append("empty")
+            else:
+                # a clash with an inverse image names the inverse letter second
+                outcomes.append("inverse" if expected[1].endswith("^-1") else "clash")
+        kinds = {"marked", "empty", "clash"} | ({"inverse"} if mode == GROUP else set())
+        assert set(outcomes) == kinds
+        assert all(outcomes.count(kind) >= 20 for kind in kinds)
+
+    @pytest.mark.parametrize("mode", [MONOID, GROUP])
+    def test_same_errors_as_the_walk(self, mode):
+        rng = random.Random(53 if mode == MONOID else 59)
+        require = require_marked if mode == MONOID else require_immersion
+        what = "marked" if mode == MONOID else "an immersion"
+        for f in _clash_cases(rng, mode):
+            expected = _reference_clash(f)
+            if expected is None:
+                require(f, "g")
+                continue
+            a, b = expected
+            with pytest.raises(NotMarkedError) as info:
+                require(f, "g")
+            if b:
+                message = f"g is not {what}: images of {a} and {b} share a first letter"
+            else:
+                message = f"g is not {what}: image of {a} is empty"
+            assert str(info.value) == message
+            assert info.value.generator == (b or a)
+            assert info.value.morphism_name == "g"

@@ -37,6 +37,24 @@ def petal_words(graph):
     return out
 
 
+class TestGraphConstructor:
+    def test_no_vertices(self):
+        with pytest.raises(ValueError, match="at least its base vertex"):
+            StallingsGraph(DG, 0, ())
+
+    def test_base_out_of_range(self):
+        with pytest.raises(ValueError, match="base vertex out of range"):
+            StallingsGraph(DG, 2, ((0, 1, 0),), base=2)
+
+    def test_edge_endpoint_out_of_range(self):
+        with pytest.raises(ValueError, match="edge endpoint out of range"):
+            StallingsGraph(DG, 2, ((0, 1, 0), (1, 2, 1)))
+
+    def test_label_out_of_range(self):
+        with pytest.raises(ValueError, match="edge label out of range"):
+            StallingsGraph(DG, 2, ((0, 1, 0), (1, 0, 3)))
+
+
 class TestBouquet:
     def test_unfoldable_map_counts(self, unfoldable_map):
         graph = bouquet(unfoldable_map)
