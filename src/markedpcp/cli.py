@@ -2,7 +2,8 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 a
 check or oracle found a failing property, 2 usage/file/parse errors, 3 a
-solver precondition (markedness / immersion) is violated.
+solver precondition (markedness / immersion) is violated, 4 an internal
+check (a self-check or the iteration backstop) failed.
 """
 
 from __future__ import annotations
@@ -36,11 +37,7 @@ def _solve(problem: Instance | SetInstance, force_set: bool) -> EqualiserResult:
     solver = _solver(problem.mode)
     if isinstance(problem, Instance) and not force_set:
         return solver.solve_pair(problem)
-    if isinstance(problem, Instance):
-        morphisms = [problem.g, problem.h]
-    else:
-        morphisms = list(problem.morphisms)
-    return solver.solve_set(morphisms, problem.sigma, problem.delta)
+    return solver.solve_set(list(problem.morphisms), problem.sigma, problem.delta)
 
 
 def _write_trace(result: EqualiserResult, directory: str) -> None:
@@ -65,12 +62,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     problem = _read(args.file)
-    if isinstance(problem, Instance):
-        entries = list(zip(problem.names, (problem.g, problem.h)))
-    else:
-        entries = list(zip(problem.names, problem.morphisms))
     ok = True
-    for name, f in entries:
+    for name, f in zip(problem.names, problem.morphisms):
         if f.mode == MONOID:
             marked = is_marked(f)
             ok = ok and marked
@@ -131,10 +124,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     problem = _read(args.file)
-    if isinstance(problem, Instance):
-        morphisms = [problem.g, problem.h]
-    else:
-        morphisms = list(problem.morphisms)
+    morphisms = problem.morphisms
     if args.graph in ("h", "product", "core") and len(morphisms) < 2:
         raise ValueError(f"graph {args.graph!r} needs a file with two maps")
     if args.graph == "g":
@@ -218,6 +208,9 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -9,34 +9,23 @@
 
 Comments start with '#', blank lines are ignored, symbols match
 [A-Za-z][A-Za-z0-9_]* and are none of the reserved words eps, map, mode,
-sigma and delta.  Words use the usual syntax: whitespace-separated
-letters, inverses with the ^-1 suffix, `eps` for the empty word.  Group
-images must arrive freely reduced; unreduced input is an error with a
-position rather than something to fix silently, so files stay unambiguous.
+sigma and delta.  Images are words in the syntax of `words.parse_letters`:
+whitespace-separated letters, inverses with the ^-1 suffix, `eps` for the
+empty word.  Group images must arrive freely reduced; unreduced input is
+an error with a position rather than something to fix silently, so files
+stay unambiguous.
 """
 
 from __future__ import annotations
 
-import re
-
 from .instances import EqualiserResult, Instance, SetInstance
 from .morphisms import Morphism
-from .words import _SYMBOL_RE, GROUP, MONOID, Alphabet, Letter, Word, format_word
+from .words import _SYMBOL_RE, GROUP, MONOID, Alphabet, Token, Word, format_word
+from .words import ParseError, parse_letters, tokenize_line  # ParseError is re-exported
 
 # words the format gives a meaning of their own; as symbols they would be
 # misread as directives or as the empty word
 _RESERVED = frozenset(("eps", "map", "mode", "sigma", "delta"))
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int) -> None:
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
-        self.bare_message = message
-
-
-Token = tuple[int, int, str]  # line, column (1-based), text
 
 
 def _tokenize(text: str) -> list[list[Token]]:
@@ -46,10 +35,7 @@ def _tokenize(text: str) -> list[list[Token]]:
         hash_pos = line.find("#")
         if hash_pos != -1:
             line = line[:hash_pos]
-        tokens = [
-            (lineno, match.start() + 1, match.group())
-            for match in re.finditer(r"\S+", line)
-        ]
+        tokens = tokenize_line(line, lineno)
         if tokens:
             lines.append(tokens)
     return lines
@@ -73,29 +59,6 @@ def _parse_symbols(tokens: list[Token], what: str) -> tuple[str, ...]:
             raise ParseError(f"duplicate {what} symbol {tok!r}", lineno, col)
         symbols.append(tok)
     return tuple(symbols)
-
-
-def _parse_image(tokens: list[Token], delta: Alphabet, mode: str) -> Word:
-    if len(tokens) == 1 and tokens[0][2] == "eps":
-        return Word._trusted(delta, ())
-    letters: list[Letter] = []
-    for lineno, col, tok in tokens:
-        if tok == "eps":
-            raise ParseError("'eps' must stand alone", lineno, col)
-        sym, sign = tok, 1
-        if tok.endswith("^-1"):
-            sym, sign = tok[:-3], -1
-            if mode == MONOID:
-                raise ParseError(f"inverse letter {tok!r} in monoid mode", lineno, col)
-        if not _SYMBOL_RE.match(sym):
-            raise ParseError(f"malformed letter token {tok!r}", lineno, col)
-        if sym not in delta:
-            raise ParseError(f"unknown letter {sym!r}", lineno, col)
-        letter = Letter(delta.index(sym), sign)
-        if mode == GROUP and letters and letters[-1] == letter.inverse():
-            raise ParseError("image is not freely reduced here", lineno, col)
-        letters.append(letter)
-    return Word._trusted(delta, tuple(letters))
 
 
 def parse(text: str) -> Instance | SetInstance:
@@ -152,7 +115,7 @@ def parse(text: str) -> Instance | SetInstance:
                 raise ParseError("expected '=' after the generator", la, ca)
             if len(entry) < 3:
                 raise ParseError(f"missing image for {sym!r}", la, ca)
-            mapping[sym] = _parse_image(entry[2:], delta, mode)
+            mapping[sym] = parse_letters(delta, entry[2:])
             pos += 1
         for sym in sigma.symbols:
             if sym not in mapping:
@@ -170,10 +133,7 @@ def parse(text: str) -> Instance | SetInstance:
 
 
 def serialize_instance(problem: Instance | SetInstance) -> str:
-    if isinstance(problem, Instance):
-        pairs = list(zip(problem.names, (problem.g, problem.h)))
-    else:
-        pairs = list(zip(problem.names, problem.morphisms))
+    pairs = zip(problem.names, problem.morphisms)
     sigma, delta = problem.sigma, problem.delta
     lines = [
         f"mode {problem.mode}",

@@ -53,6 +53,10 @@ class Instance:
     def mode(self) -> str:
         return self.g.mode
 
+    @property
+    def morphisms(self) -> tuple[Morphism, Morphism]:
+        return (self.g, self.h)
+
 
 @dataclass(frozen=True)
 class SetInstance:

@@ -140,18 +140,21 @@ def is_marked(f: Morphism) -> bool:
     return _first_letter_clash(f) is None
 
 
-def require_marked(f: Morphism, name: str = "morphism") -> None:
+def _report_clash(f: Morphism, name: str, noun: str) -> None:
+    """Raise `NotMarkedError` naming the first clash, if f is not `noun`."""
     clash = _first_letter_clash(f)
     if clash is None:
         return
     a, b = clash
     if not b:
-        raise NotMarkedError(
-            f"{name} is not marked: image of {a} is empty", name, a
-        )
+        raise NotMarkedError(f"{name} is not {noun}: image of {a} is empty", name, a)
     raise NotMarkedError(
-        f"{name} is not marked: images of {a} and {b} share a first letter", name, b
+        f"{name} is not {noun}: images of {a} and {b} share a first letter", name, b
     )
+
+
+def require_marked(f: Morphism, name: str = "morphism") -> None:
+    _report_clash(f, name, "marked")
 
 
 def _immersion_by_lengths(f: Morphism) -> bool:
@@ -213,19 +216,7 @@ def is_immersion(f: Morphism, method: str = "all") -> bool:
 def require_immersion(f: Morphism, name: str = "morphism") -> None:
     if f.mode != GROUP:
         raise ValueError("immersions are a free-group notion; morphism is monoid-mode")
-    clash = _first_letter_clash(f)
-    if clash is None:
-        return
-    a, b = clash
-    if not b:
-        raise NotMarkedError(
-            f"{name} is not an immersion: image of {a} is empty", name, a
-        )
-    raise NotMarkedError(
-        f"{name} is not an immersion: images of {a} and {b} share a first letter",
-        name,
-        b,
-    )
+    _report_clash(f, name, "an immersion")
 
 
 def is_injective_witness(f: Morphism, radius: int) -> tuple[Word, Word] | None:

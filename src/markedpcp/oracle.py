@@ -215,10 +215,7 @@ def check_result(
     problem: Instance | SetInstance, result: EqualiserResult, ball: BallSpec
 ) -> CheckReport:
     """Cross-examine a solver result against enumeration on a ball."""
-    if isinstance(problem, Instance):
-        morphisms = [problem.g, problem.h]
-    else:
-        morphisms = list(problem.morphisms)
+    morphisms = list(problem.morphisms)
     sigma = morphisms[0].domain
     failures: list[str] = []
     psi = result.embedding

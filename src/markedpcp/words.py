@@ -7,18 +7,33 @@ containing an adjacent cancelling pair, and `free_reduce` is the constructor
 for raw letter sequences.  Equality is therefore plain sequence equality.
 Solver code that has just built a word correctly uses `Word._trusted`,
 which skips these checks.
+
+The word text syntax lives here only: `parse_letters` reads it from
+positioned tokens, for `parse_word` and for the instance file format.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MONOID = "monoid"
 GROUP = "group"
 
 _SYMBOL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+_TOKEN_RE = re.compile(r"\S+")
+
+Token = tuple[int, int, str]  # line, column (1-based), text
+
+
+class ParseError(ValueError):
+    def __init__(self, message: str, line: int, column: int) -> None:
+        super().__init__(f"line {line}, column {column}: {message}")
+        self.line = line
+        self.column = column
+        self.bare_message = message
 
 
 class Letter(NamedTuple):
@@ -65,12 +80,17 @@ class Alphabet:
         except KeyError:
             raise ValueError(f"symbol {symbol!r} not in alphabet {self.symbols}") from None
 
-    def letter(self, symbol: str, sign: int = 1) -> Letter:
-        if sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-        if sign < 0 and self.mode == MONOID:
-            raise ValueError("monoid-mode letters must have sign +1")
-        return Letter(self.index(symbol), sign)
+    @functools.cached_property
+    def _token_letters(self) -> dict[str, Letter]:
+        """Token text to letter: `x` for every symbol the word syntax can
+        spell, and `x^-1` in group mode.  Built on the first parse."""
+        table = {}
+        for i, s in enumerate(self.symbols):
+            if _SYMBOL_RE.match(s):
+                table[s] = Letter(i, 1)
+                if self.mode == GROUP:
+                    table[s + "^-1"] = Letter(i, -1)
+        return table
 
     def positive_letters(self) -> list[Letter]:
         return [Letter(i, 1) for i in range(len(self.symbols))]
@@ -237,23 +257,47 @@ def ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
         level = nxt
 
 
+def tokenize_line(text: str, line: int = 1) -> list[Token]:
+    """The whitespace-separated tokens of one line of text, with positions."""
+    return [(line, m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(text)]
+
+
+def _token_error(alphabet: Alphabet, tok: str) -> str:
+    if tok == "eps":
+        return "'eps' must stand alone"
+    sym = tok
+    if tok.endswith("^-1"):
+        sym = tok[:-3]
+        if alphabet.mode == MONOID:
+            return f"inverse letter {tok!r} in monoid mode"
+    if not _SYMBOL_RE.match(sym):
+        return f"malformed letter token {tok!r}"
+    return f"unknown letter {sym!r}"
+
+
+def parse_letters(alphabet: Alphabet, tokens: Sequence[Token]) -> Word:
+    """The word spelled by `tokens`: letters, inverses written with the
+    suffix ^-1 (group mode only), the empty word spelled `eps` standing
+    alone.  Group words must arrive freely reduced.  Every error is a
+    `ParseError` at the offending token."""
+    if len(tokens) == 1 and tokens[0][2] == "eps":
+        return Word._trusted(alphabet, ())
+    table = alphabet._token_letters
+    group = alphabet.mode == GROUP
+    letters: list[Letter] = []
+    for line, col, tok in tokens:
+        letter = table.get(tok)
+        if letter is None:
+            raise ParseError(_token_error(alphabet, tok), line, col)
+        if group and letters and letters[-1].index == letter.index and letters[-1] != letter:
+            raise ParseError("image is not freely reduced here", line, col)
+        letters.append(letter)
+    return Word._trusted(alphabet, tuple(letters))
+
+
 def parse_word(alphabet: Alphabet, text: str) -> Word:
-    """Parse the textual word syntax: whitespace-separated letters, inverses
-    written with the suffix ^-1, the empty word spelled `eps`."""
-    tokens = text.split()
-    if tokens == ["eps"]:
-        return empty_word(alphabet)
-    letters = []
-    for tok in tokens:
-        sign = 1
-        sym = tok
-        if tok.endswith("^-1"):
-            sign = -1
-            sym = tok[:-3]
-        if not _SYMBOL_RE.match(sym):
-            raise ValueError(f"malformed letter token {tok!r}")
-        letters.append(alphabet.letter(sym, sign))
-    return Word(alphabet, tuple(letters))
+    """Parse `text`, read as line 1, in the syntax of `parse_letters`."""
+    return parse_letters(alphabet, tokenize_line(text))
 
 
 def format_letter(alphabet: Alphabet, l: Letter) -> str:

@@ -1,10 +1,11 @@
+import itertools
 import os
 import pathlib
 import subprocess
 import sys
 
 import markedpcp
-from markedpcp import cli, group, stallings
+from markedpcp import cli, group, instances, stallings
 from markedpcp.cli import _build_parser, run
 from markedpcp.fileformat import parse
 from markedpcp.oracle import MAX_RADIUS
@@ -85,6 +86,19 @@ class TestSolve:
         bad.write_text("mode monoid\nsigma a\ndelta x\nmap g\na = w\n")
         assert run(["solve", str(bad)]) == 2
         assert "line 5" in capsys.readouterr().err
+
+    def test_internal_check_failure_exits_four(self, capsys, monkeypatch):
+        # every instance looks new and the bound sits just above its floor
+        # (|Delta|+1)^(2|Sigma|), so the iteration backstop fires
+        fresh = itertools.count()
+        monkeypatch.setattr(instances, "canonical_form", lambda _: next(fresh))
+        monkeypatch.setattr(instances, "iteration_bound", lambda _: 3**4 + 2)
+        assert run(["solve", MARKED]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal check failed: iteration bound exceeded: reduction did not cycle\n"
+        )
 
 
 class TestCheck:

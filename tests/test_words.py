@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from markedpcp.fileformat import ParseError, parse
 from markedpcp.words import (
     GROUP,
     MONOID,
@@ -179,6 +182,57 @@ class TestTextSyntax:
     def test_unknown_symbol(self):
         with pytest.raises(ValueError):
             parse_word(GA, "w")
+
+
+# valid, inverse (a monoid-mode error), eps, unknown and malformed tokens;
+# pairs of them also give eps-not-alone and unreduced sequences
+TOKENS = ("x", "y", "x^-1", "y^-1", "eps", "w", "x^-1^-1", "1x")
+SEQUENCES = [seq for n in (1, 2) for seq in itertools.product(TOKENS, repeat=n)] + [
+    ("x", "y", "y^-1"),
+    ("y", "x", "eps"),
+    ("x", "x", "w^-1"),
+]
+
+
+class TestOneParser:
+    """`parse_word` and the file format read words with the same parser."""
+
+    @pytest.mark.parametrize("mode", [MONOID, GROUP])
+    def test_agrees_with_the_file_format(self, mode):
+        delta = Alphabet(("x", "y"), mode)
+        messages = set()
+        accepted = 0
+        for seq in SEQUENCES:
+            text = " ".join(seq)
+            # the image starts at column 5 of line 5
+            file = f"mode {mode}\nsigma a\ndelta x y\nmap g\na = {text}\n"
+            try:
+                want = parse(file).morphisms[0].images[0]
+            except ParseError as exc:
+                with pytest.raises(ParseError) as info:
+                    parse_word(delta, text)
+                got = info.value
+                assert exc.line == 5
+                assert (got.line, got.column) == (1, exc.column - 4)
+                assert got.bare_message == exc.bare_message
+                messages.add(exc.bare_message.split(" ")[0])
+            else:
+                assert parse_word(delta, text) == want
+                accepted += 1
+        assert accepted >= 7  # at least eps, x, y and the four pairs of those
+        kinds = {"'eps'", "malformed", "unknown"}
+        kinds |= {"image"} if mode == GROUP else {"inverse"}
+        assert messages == kinds
+
+    @pytest.mark.parametrize("mode", [MONOID, GROUP])
+    def test_library_symbols_the_file_format_rejects(self, mode):
+        lib = Alphabet(("a-b", "eps", "x"), mode)
+        assert parse_word(lib, "eps") == empty_word(lib)
+        assert parse_word(lib, "x eps").letters == (Letter(2, 1), Letter(1, 1))
+        with pytest.raises(ParseError, match="malformed letter token 'a-b'"):
+            parse_word(lib, "x a-b")
+        if mode == GROUP:
+            assert parse_word(lib, "eps^-1 x").letters == (Letter(1, -1), Letter(2, 1))
 
 
 class TestBall:
