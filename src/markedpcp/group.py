@@ -19,16 +19,18 @@ from .instances import (
 # Not used here: the tests and the benchmark's tracing (`SPANNED`) look
 # these up as `group.prefix_complexity` and `group.iteration_bound`.
 from .instances import iteration_bound, prefix_complexity  # noqa: F401
-from .morphisms import Morphism, apply, compose, is_immersion, require_immersion
-from .stallings import core_of_pair, petals_to_morphisms
-from .words import GROUP, Alphabet
+from .morphisms import Morphism, compose, is_immersion, require_immersion
+from .stallings import StallingsGraph, core_of_pair, petals_to_morphisms
+from .words import GROUP, Alphabet, Letter
 
 
-def _petal_blocks(instance: Instance, g_prime: Morphism, h_prime: Morphism) -> tuple[Block, ...]:
+def _petal_blocks(core: StallingsGraph, g_prime: Morphism, h_prime: Morphism) -> tuple[Block, ...]:
+    # g is an immersion, so core petal i spells g(g_prime(p_i)) reduced, and
+    # the block's label letter is the label of the petal's first step
     blocks = []
-    for u, v in zip(g_prime.images, h_prime.images):
-        label = apply(instance.g, u)
-        blocks.append(Block(label.first, u, v))
+    for (_, path), u, v in zip(core.petals, g_prime.images, h_prime.images):
+        e, d = path[0]
+        blocks.append(Block(Letter(core.edges[e][2], d), u, v))
     return tuple(blocks)
 
 
@@ -40,11 +42,11 @@ def reduce_group_instance(instance: Instance) -> ReductionStep:
     require_immersion(instance.h, instance.names[1])
     core, g_edges, h_edges = core_of_pair(instance.g, instance.h)
     g_prime, h_prime = petals_to_morphisms(core, g_edges, h_edges, instance.g, instance.h)
-    assert is_immersion(g_prime) and is_immersion(h_prime)
+    assert is_immersion(g_prime) and is_immersion(h_prime), "petal maps must be immersions"
     assert len(g_prime.domain) <= len(instance.sigma), "reduction cannot grow the alphabet"
     after = Instance(g_prime, h_prime)
     return ReductionStep(
-        instance, after, g_prime, h_prime, _petal_blocks(instance, g_prime, h_prime), core
+        instance, after, g_prime, h_prime, _petal_blocks(core, g_prime, h_prime), core
     )
 
 
@@ -64,7 +66,7 @@ def _intersect(psi1: Morphism, psi2: Morphism) -> Morphism:
     g_prime, h_prime = petals_to_morphisms(core, e1, e2, psi1, psi2)
     k = compose(psi1, g_prime)
     assert k == compose(psi2, h_prime), "intersection maps disagree"
-    assert is_immersion(k)
+    assert is_immersion(k), "intersection map must be an immersion"
     return k
 
 

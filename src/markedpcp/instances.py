@@ -302,6 +302,8 @@ def solve_family(
     assert len(psi.images) <= len(sigma), "rank bound violated"
     for w in psi.images:
         first = apply(morphisms[0], w)
-        assert all(apply(f, w) == first for f in morphisms[1:])
+        assert all(apply(f, w) == first for f in morphisms[1:]), (
+            "basis word is not a solution of the whole family"
+        )
     trail = tuple(step for res in pair_results for step in res.trail)
     return EqualiserResult(psi, psi.images, trail, pair_results[0].case)

@@ -148,7 +148,7 @@ def _intersect(psi1: Morphism, psi2: Morphism) -> Morphism:
     other = tuple(apply(psi2, b.v) for b in blocks)
     assert images == other, "intersection maps disagree"
     k = Morphism._trusted(domain, psi1.codomain, images)
-    assert is_marked(k)
+    assert is_marked(k), "intersection map must be marked"
     return k
 
 

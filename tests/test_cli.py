@@ -100,6 +100,13 @@ class TestSolve:
             "error: internal check failed: iteration bound exceeded: reduction did not cycle\n"
         )
 
+    def test_failed_self_check_is_named(self, capsys, monkeypatch):
+        monkeypatch.setattr(group, "is_immersion", lambda f, method="all": False)
+        assert run(["solve", IMMERSED]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal check failed: petal maps must be immersions\n"
+
 
 class TestCheck:
     def test_unfoldable_map_fails_thrice(self, capsys):

@@ -1,14 +1,18 @@
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
 
 from markedpcp import group, instances, monoid, stallings
-from markedpcp.instances import CASE_CYCLE, CASE_SINGLE, Instance
+from markedpcp.fileformat import parse
+from markedpcp.instances import CASE_CYCLE, CASE_SINGLE, Block, Instance
 from markedpcp.morphisms import Morphism, NotMarkedError, apply, is_immersion
 from markedpcp.oracle import BallSpec, enumerate_equaliser, image_ball
 from markedpcp.words import GROUP, Alphabet, parse_word, proper_prefixes
 
+from conftest import FIXTURES
 from support import morphism, random_group_instance, random_immersion
 
 DG = Alphabet(("x", "y", "z"), GROUP)
@@ -300,3 +304,40 @@ class TestNoBouquetOfTheInputs:
         assert len(result.basis) >= 1
         assert seen
         assert all(f != m for f in seen for m in maps)
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+class TestPetalBlocks:
+    """A group step's block letters are read off the first step of each
+    core petal; they equal the first letter of g applied to the petal's
+    g-side word, which is how they were read before."""
+
+    @staticmethod
+    def _check_trail(result):
+        for step in result.trail:
+            expected = tuple(
+                Block(apply(step.before.g, u).first, u, v)
+                for u, v in zip(step.g_prime.images, step.h_prime.images)
+            )
+            assert step.blocks == expected
+
+    def test_immersed_pair_fixture(self):
+        result = group.solve_pair(parse((FIXTURES / "immersed_pair.pcp").read_text()))
+        assert result.trail
+        self._check_trail(result)
+
+    def test_long_trail_pairs(self):
+        texts = json.loads((PERFBENCH / "long_trails.json").read_text())["group"]
+        assert len(texts) == 60
+        for text in texts:
+            self._check_trail(group.solve_pair(parse(text)))
+
+    def test_planted_families(self):
+        rng = random.Random(113)
+        for _ in range(5):
+            maps, sigma, delta = _planted_group_family(rng)
+            result = group.solve_set(maps, sigma, delta)
+            assert len(result.basis) >= 1
+            self._check_trail(result)

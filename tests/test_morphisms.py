@@ -6,6 +6,8 @@ from markedpcp.morphisms import (
     Morphism,
     NotMarkedError,
     _first_letter_clash,
+    _immersion_by_lengths,
+    _junction,
     apply,
     compose,
     greedy_decode,
@@ -20,14 +22,22 @@ from markedpcp.words import (
     GROUP,
     MONOID,
     Alphabet,
+    Letter,
     Word,
     empty_word,
     format_letter,
     free_reduce,
+    invert,
     parse_word,
 )
 
-from support import morphism, random_group_morphism, random_immersion, random_marked_morphism
+from support import (
+    morphism,
+    random_group_morphism,
+    random_immersion,
+    random_marked_morphism,
+    random_reduced_word,
+)
 
 SM = Alphabet(("a", "b"), MONOID)
 DM = Alphabet(("x", "y"), MONOID)
@@ -342,3 +352,131 @@ class TestMarkingCheckAgreement:
             assert str(info.value) == message
             assert info.value.generator == (b or a)
             assert info.value.morphism_name == "g"
+
+
+def _reference_lengths(f):
+    """The `lengths` check as it was first written, kept here as the
+    reference: apply f to every two-letter reduced word xy and compare
+    |f(xy)| with |f(x)| + |f(y)|."""
+    if any(not img for img in f.images):
+        return False
+    letters = f.domain.signed_letters()
+    lengths = {l: len(f.images[l.index]) for l in letters}
+    for x in letters:
+        for y in letters:
+            if y == x.inverse():
+                continue
+            xy = Word._trusted(f.domain, (x, y))
+            if len(apply(f, xy)) != lengths[x] + lengths[y]:
+                return False
+    return True
+
+
+def _length_cases(rng):
+    """Seeded group maps of rank 1-4 with images of length 0-5, of four
+    kinds: immersions, arbitrary maps, a map with one empty image, and a
+    map with a planted junction cascade of two letters, such as the images
+    `p q` and `q^-1 p^-1 t`, or `p q t q^-1 p^-1` cancelling against itself."""
+    for n in range(400):
+        k = rng.randint(1, 4)
+        m = rng.randint(max(k, 2), 4)
+        sigma = Alphabet(tuple(f"a{j}" for j in range(k)), GROUP)
+        delta = Alphabet(tuple(f"x{j}" for j in range(m)), GROUP)
+        kind = n % 4
+        if kind == 0:
+            f = random_immersion(rng, sigma, delta, 5)
+        else:
+            f = random_group_morphism(rng, sigma, delta, 5)
+        i, j = rng.randrange(k), rng.randrange(k)
+        if kind == 2:
+            f = _with_image(f, i, ())
+        elif kind == 3:
+            p, q = random_reduced_word(rng, delta, 2).letters
+            if i == j:
+                t = rng.choice([l for l in delta.signed_letters() if l.index != q.index])
+                planted = {i: (p, q, t, q.inverse(), p.inverse())}
+            else:
+                planted = {
+                    i: random_reduced_word(rng, delta, rng.randint(0, 3)).letters + (p, q),
+                    j: (q.inverse(), p.inverse())
+                    + random_reduced_word(rng, delta, rng.randint(0, 3)).letters,
+                }
+            for g, letters in planted.items():
+                f = _with_image(f, g, letters)
+        yield f
+
+
+def _pair_lengths(f):
+    """|f(xy)| for every reduced two-letter word xy, computed by `apply`."""
+    for x in f.domain.signed_letters():
+        for y in f.domain.signed_letters():
+            if y != x.inverse():
+                yield x, y, len(apply(f, Word._trusted(f.domain, (x, y))))
+
+
+class TestLengthsCheckAgreement:
+    """The `lengths` check reads |f(xy)| off the two reduced images; it
+    gives the verdict of applying f to every two-letter word, and `apply`
+    gives the free reduction of the concatenated images."""
+
+    def test_same_verdict_as_applying(self):
+        rng = random.Random(61)
+        outcomes = []
+        for f in _length_cases(rng):
+            expected = _reference_lengths(f)
+            assert _immersion_by_lengths(f) == expected
+            assert is_immersion(f, "lengths") == expected
+            kinds = {"immersion" if expected else "not"}
+            if any(not img for img in f.images):
+                kinds.add("empty")
+            elif any(
+                n <= len(f.image(x)) + len(f.image(y)) - 4 for x, y, n in _pair_lengths(f)
+            ):
+                kinds.add("cascade")
+            outcomes += kinds
+        for kind in ("immersion", "not", "empty", "cascade"):
+            assert outcomes.count(kind) >= 20, kind
+
+    def test_junction_count_gives_the_length(self):
+        rng = random.Random(67)
+        cascades = 0
+        for f in _length_cases(rng):
+            if any(not img for img in f.images):
+                continue
+            for x, y, n in _pair_lengths(f):
+                u, v = f.image(x).letters, f.image(y).letters
+                c = _junction(u, v)
+                assert len(u) + len(v) - 2 * c == n
+                cascades += c >= 2
+        assert cascades >= 20
+
+    @pytest.mark.parametrize("mode", [MONOID, GROUP])
+    def test_apply_reduces_the_concatenated_images(self, mode):
+        rng = random.Random(71 if mode == MONOID else 73)
+        cancelled = 0
+        for _ in range(300):
+            k = rng.randint(1, 3)
+            m = rng.randint(k if mode == MONOID else 1, 3)
+            sigma = Alphabet(tuple(f"a{j}" for j in range(k)), mode)
+            delta = Alphabet(tuple(f"x{j}" for j in range(m)), mode)
+            if mode == MONOID:
+                f = random_marked_morphism(rng, sigma, delta, 4)
+                w = Word(sigma, tuple(rng.choices(sigma.positive_letters(), k=rng.randint(0, 6))))
+                expected = Word(f.codomain, tuple(l for x in w for l in f.image(x)))
+            else:
+                f = random_group_morphism(rng, sigma, delta, 3)
+                w = random_reduced_word(rng, sigma, rng.randint(0, 6))
+                if k > 1 and rng.random() < 0.3:
+                    # a1 takes the image of a0, so a conjugate of a0 a1^-1
+                    # maps to eps
+                    f = _with_image(f, 1, f.images[0].letters)
+                    kernel = (Letter(0, 1), Letter(1, -1))
+                    r = w.letters[:3]
+                    w = free_reduce(sigma, r + kernel + invert(Word(sigma, r)).letters)
+                # f.image inverts an inverse image through `invert`
+                expected = free_reduce(f.codomain, [l for x in w for l in f.image(x)])
+            got = apply(f, w)
+            assert got == expected
+            cancelled += bool(w) and not got
+        if mode == GROUP:
+            assert cancelled >= 20
