@@ -183,10 +183,10 @@ def prefix_complexity(instance: Instance) -> int:
 def iteration_bound(instance: Instance) -> int:
     """Hard backstop on the reduction trail length.
 
-    Counts the instances whose prefix complexity cannot exceed the input's:
-    (|Delta|+1)^(2|Sigma|(s+1)) in monoid mode, (2|Delta|)^(2|Sigma|(s+1))
-    in group mode, where s is the prefix complexity.  The cycle detector
-    normally fires long before this.
+    Counts the instances of prefix complexity at most the input's, s:
+    (2|Delta|)^(2|Sigma|(s+1)) in group mode, where reductions never grow
+    it; (|Delta|+1)^(2|Sigma|(s+1)) in monoid mode, where they can, so
+    there it is a backstop only.  Cycle detection normally fires first.
     """
     s = prefix_complexity(instance)
     exponent = 2 * len(instance.sigma) * (s + 1)

@@ -15,9 +15,10 @@ from .words import GROUP, MONOID, Alphabet, Word
 
 RawWord = tuple[tuple[int, int], ...]
 
-# enumerate_equaliser recurses once per letter of the prefix it extends, so
-# the radius must stay well inside the interpreter's default recursion limit
-# of 1000 frames, leaving room for the frames of its callers
+# enumerate_equaliser and image_ball both recurse once per letter of the
+# domain word they extend, at most radius letters, so the radius must stay
+# well inside the interpreter's default recursion limit of 1000 frames,
+# leaving room for the frames of their callers
 MAX_RADIUS = 500
 
 
@@ -82,30 +83,15 @@ def _raw_sort_key(w: RawWord) -> tuple:
     return (len(w), tuple((i, 0 if s > 0 else 1) for (i, s) in w))
 
 
-def _ball_raw(alphabet: Alphabet, radius: int) -> list[RawWord]:
-    letters = _domain_letters(alphabet)
-    group = alphabet.mode == GROUP
-    out: list[RawWord] = [()]
-    level: list[RawWord] = [()]
-    for _ in range(radius):
-        nxt = []
-        for stem in level:
-            for l in letters:
-                if group and stem and stem[-1] == (l[0], -l[1]):
-                    continue
-                nxt.append(stem + (l,))
-        out.extend(nxt)
-        level = nxt
-    return out
-
-
 def enumerate_equaliser(morphisms: list[Morphism], ball: BallSpec) -> list[Word]:
     """All words of length <= radius on which every morphism agrees, in
     shortlex order; freely reduced words only in group mode.
 
-    Walks the ball depth-first with incremental image stacks.  In monoid
-    mode a branch whose images already disagree on their overlap is pruned,
-    which is sound because monoid images only ever grow on the right.
+    Walks the ball depth-first with incremental image stacks.  A branch
+    whose images already disagree on their overlap is pruned in monoid mode,
+    and in group mode when every morphism passes `_decode_table`: the images
+    of a reduced word under an immersion never cancel, so like monoid images
+    they only grow on the right.  Other group inputs walk the whole ball.
     """
     if not morphisms:
         raise ValueError("need at least one morphism")
@@ -116,6 +102,13 @@ def enumerate_equaliser(morphisms: list[Morphism], ball: BallSpec) -> list[Word]
     if ball.mode != sigma.mode:
         raise ValueError("ball mode does not match the morphisms")
     group = sigma.mode == GROUP
+    prune = True
+    if group:
+        try:
+            for f in morphisms:
+                _decode_table(f)
+        except ValueError:
+            prune = False
     tables = [_raw_table(f) for f in morphisms]
     letters = _domain_letters(sigma)
     stacks: list[list[tuple[int, int]]] = [[] for _ in morphisms]
@@ -140,7 +133,7 @@ def enumerate_equaliser(morphisms: list[Morphism], ball: BallSpec) -> list[Word]
         stack.extend(reversed(popped))
 
     def diverged() -> bool:
-        if group:
+        if not prune:
             return False
         first = stacks[0]
         for other in stacks[1:]:
@@ -187,26 +180,27 @@ def _decode_table(psi: Morphism) -> dict[tuple[int, int], tuple[tuple[int, int],
     return index
 
 
-def _decodes(index: dict, w: RawWord) -> bool:
-    rest = w
-    while rest:
-        hit = index.get(rest[0])
-        if hit is None:
-            return False
-        _, img = hit
-        if rest[: len(img)] != img:
-            return False
-        rest = rest[len(img) :]
-    return True
-
-
 def image_ball(psi: Morphism, ball: BallSpec) -> list[Word]:
     """Elements of the image of a marked morphism / immersion of length at
-    most the radius, found by greedily decoding every candidate in the ball."""
+    most the radius, in shortlex order.
+
+    Such a map never cancels between the images of a reduced word's letters,
+    so distinct reduced words have distinct images, each the concatenation
+    of its letters' raw images; the walk extends reduced domain words and
+    stops a branch once its image outgrows the radius.
+    """
     if ball.mode != psi.mode:
         raise ValueError("ball mode does not match the morphism")
-    index = _decode_table(psi)
-    out = [raw for raw in _ball_raw(psi.codomain, ball.radius) if _decodes(index, raw)]
+    gens = list(_decode_table(psi).values())
+    out: list[RawWord] = []
+
+    def walk(last: tuple[int, int] | None, image: RawWord) -> None:
+        out.append(image)
+        for gen, img in gens:
+            if last != (gen[0], -gen[1]) and len(image) + len(img) <= ball.radius:
+                walk(gen, image + img)
+
+    walk(None, ())
     out.sort(key=_raw_sort_key)
     return [Word(psi.codomain, raw) for raw in out]
 

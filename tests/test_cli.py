@@ -174,6 +174,21 @@ class TestOracle:
             f"PASS: radius-{MAX_RADIUS} ball: {MAX_RADIUS + 1} equaliser elements"
         )
 
+    def test_maximum_radius_is_reachable_in_group_mode(self, capsys, tmp_path):
+        # a^n and a^-n: both walks, image_ball's included, recurse to full depth
+        one = tmp_path / "one.pcp"
+        one.write_text("mode group\nsigma a\ndelta x\nmap g\na = x\nmap h\na = x\n")
+        assert run(["oracle", str(one), "--radius", str(MAX_RADIUS)]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"PASS: radius-{MAX_RADIUS} ball: {2 * MAX_RADIUS + 1} equaliser elements"
+        )
+
+    def test_immersed_pair_at_a_large_radius(self, capsys):
+        # the walks are pruned on immersions, so the cost follows the
+        # equaliser, not the ball, which holds over 6 * 5^39 reduced words
+        assert run(["oracle", IMMERSED, "--radius", "40"]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
+
 
 class TestDensity:
     def test_exact_row(self, capsys):

@@ -39,6 +39,16 @@ class TestEnumerateEqualiser:
         h = morphism(sigma, delta, "y")
         assert enumerate_equaliser([g, h], BallSpec(5, GROUP)) == [empty_word(sigma)]
 
+    def test_group_maps_that_cancel_walk_the_whole_ball(self):
+        # neither map is an immersion: g(a) and h(a) differ, yet a b maps to
+        # the identity under both, so a pruned walk would miss it
+        sigma = Alphabet(("a", "b"), GROUP)
+        delta = Alphabet(("x", "y"), GROUP)
+        g = morphism(sigma, delta, "x", "x^-1")
+        h = morphism(sigma, delta, "y", "y^-1")
+        words = enumerate_equaliser([g, h], BallSpec(4, GROUP))
+        assert parse_word(sigma, "a b") in words
+
     def test_monotone_in_radius(self, marked_pair):
         small = enumerate_equaliser([marked_pair.g, marked_pair.h], BallSpec(4, MONOID))
         large = enumerate_equaliser([marked_pair.g, marked_pair.h], BallSpec(7, MONOID))
