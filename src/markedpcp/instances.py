@@ -4,14 +4,16 @@ reduction driver that both solvers run.
 The monoid and group solvers follow one scheme: reduce the pair until it
 reaches a solved shape or repeats, read the basis off the final pair, and
 pull it back through the trail; a family is solved pair by pair and the
-images are intersected.  Only the reduce and intersect steps and the
-marked / immersion checks differ, and the solvers pass them in.
+images are intersected.  Both modes reduce and intersect through one walk,
+`agreeing_chains`; only the mode and precondition checks and the marked /
+immersion self-checks differ, and the solvers pass them in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+import functools
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .morphisms import Morphism, apply, compose
 from .words import GROUP, Alphabet, Letter, Word
@@ -103,15 +105,13 @@ class Block:
 @dataclass(frozen=True)
 class ReductionStep:
     """One instance reduction; g_prime and h_prime carry the new generators
-    to words over the previous domain, and g o g_prime = h o h_prime.  A
-    group step keeps the pair core it was read off."""
+    to words over the previous domain, and g o g_prime = h o h_prime."""
 
     before: Instance
     after: Instance
     g_prime: Morphism
     h_prime: Morphism
     blocks: tuple[Block, ...]
-    core: StallingsGraph | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -119,6 +119,17 @@ class ReductionStep:
         k2 = compose(self.before.h, self.h_prime)
         if k1 != k2:
             raise AssertionError("reduction step is inconsistent: g g' != h h'")
+
+    @functools.cached_property
+    def core(self) -> StallingsGraph | None:
+        """The pair core of a group step's pair, whose petals are the step's
+        chains; built on first access, for `solve --trace`.  None in monoid
+        mode."""
+        if self.before.mode != GROUP:
+            return None
+        from . import stallings  # deferred: solving builds no graph
+
+        return stallings.core_of_pair(self.before.g, self.before.h)[0]
 
 
 @dataclass(frozen=True)
@@ -223,6 +234,154 @@ def _terminal_case(instance: Instance) -> str | None:
     ):
         return CASE_LENGTH_ONE
     return None
+
+
+Chain = tuple[tuple[Letter, ...], Word, Word]  # label, u, v: g(u) = label = h(v)
+
+
+def agreeing_chains(g: Morphism, h: Morphism) -> list[Chain]:
+    """The minimal agreeing pairs of two marked maps or two immersions into
+    one codomain: each (label, u, v) with g(u) = label = h(v), u and v
+    nonempty and no shorter nonempty prefixes agreeing, and the label given
+    as its letters.  There is at most one per first letter of the label,
+    and they come in the order of that letter (`Letter.sort_key`).
+
+    The images of a reduced word's letters never cancel, so the two sides
+    grow on the right only.  One side leads by an overhang, a proper suffix
+    of its last image, and the marking makes the lagging side's next
+    generator the one whose signed image starts with the overhang.  The walk
+    ends in a chain when both sides have the same length, and in none on a
+    mismatch, a missing generator, or a repeated (leading side, last
+    generator, offset) state, which immersions never reach.
+
+    In group mode each chain is also found read backwards, as its inverse;
+    only the one whose label is shortlex-smaller than its inverse is kept.
+    These are the petals of the pair core, oriented as `_extract_petals`
+    orients them.
+    """
+    codomain = g.codomain
+    if g.mode == GROUP:
+        inverse = codomain._inverse_letters
+        starts: Iterable[Letter] = inverse  # keys in `Letter.sort_key` order
+    else:
+        inverse = None
+        starts = codomain.positive_letters()
+    g_firsts, g_runs = _signed_images(g, inverse)
+    h_firsts, h_runs = _signed_images(h, inverse)
+    firsts, runs, images = (g_firsts, h_firsts), (g_runs, h_runs), (g.images, h.images)
+
+    def inverse_run(side: int, x: Letter) -> tuple[Letter, ...]:
+        r = tuple([inverse[l] for l in reversed(images[side][x.index].letters)])
+        runs[side][x] = r
+        return r
+
+    chains: list[Chain] = []
+    for a in starts:
+        x = g_firsts.get(a)
+        if x is None or a not in h_firsts:
+            continue
+        words: tuple[list[Letter], list[Letter]] = ([x], [])
+        lead, last, off = 0, x, 0
+        lead_run = g_runs.get(x) or inverse_run(0, x)
+        seen: set[tuple[int, Letter, int]] = set()
+        while True:
+            lag = 1 - lead
+            nxt = firsts[lag].get(lead_run[off])
+            if nxt is None:
+                break
+            r = runs[lag].get(nxt) or inverse_run(lag, nxt)
+            words[lag].append(nxt)
+            over = len(lead_run) - off
+            if len(r) < over:  # the lagging side stays behind
+                if r != lead_run[off : off + len(r)]:
+                    break
+                off += len(r)
+            elif r[:over] != lead_run[off:]:
+                break
+            elif len(r) > over:  # the lagging side takes the lead
+                lead, last, lead_run, off = lag, nxt, r, over
+            else:
+                u, v = words
+                label = tuple([l for y in u for l in g_runs[y]])
+                if inverse is None or _below_inverse(label, inverse):
+                    chains.append(
+                        (label, Word._trusted(g.domain, tuple(u)), Word._trusted(h.domain, tuple(v)))
+                    )
+                break
+            # the walk's first state, at offset 0, never recurs
+            if (lead, last, off) in seen:
+                break
+            seen.add((lead, last, off))
+    return chains
+
+
+def _signed_images(
+    f: Morphism, inverse: dict[Letter, Letter] | None
+) -> tuple[dict[Letter, Letter], dict[Letter, tuple[Letter, ...]]]:
+    """First letter -> signed generator, a function since f is marked, and
+    generator -> the letters of its image.  With the codomain's table of
+    inverse letters (group mode) the first letters of the inverse images
+    are included; the walk builds those images when it needs them."""
+    letters = [Letter(i, 1) for i in range(len(f.images))]
+    runs = {x: img.letters for x, img in zip(letters, f.images)}
+    firsts = {img.letters[0]: x for x, img in zip(letters, f.images)}
+    if inverse is not None:
+        firsts.update(
+            {inverse[img.letters[-1]]: Letter(x.index, -1) for x, img in zip(letters, f.images)}
+        )
+    return firsts, runs
+
+
+def _below_inverse(label: tuple[Letter, ...], inverse: dict[Letter, Letter]) -> bool:
+    """Is the reduced word shortlex-smaller than its inverse?  Both have one
+    length, so the first letter where they differ decides."""
+    for a, b in zip(label, reversed(label)):
+        b = inverse[b]
+        if a != b:
+            return a.sort_key() < b.sort_key()
+    return False
+
+
+def chain_blocks(g: Morphism, h: Morphism) -> tuple[Block, ...]:
+    """The chains of the pair as blocks, each named by its label's first letter."""
+    return tuple(Block(label[0], u, v) for label, u, v in agreeing_chains(g, h))
+
+
+def reduce_step(
+    instance: Instance, embeds: Callable[[Morphism], bool], message: str
+) -> ReductionStep:
+    """Replace the pair by the pair of chain maps.
+
+    Fresh generators are named p0, p1, ... in chain order; g' maps p_i to
+    the chain's u and h' to its v.  The reduced instance's codomain is the
+    previous domain; keeping the alphabets explicit avoids any symbol
+    capture between levels.  `embeds` is the marked / immersion self-check
+    of the new maps, and `message` names it when it fails.
+    """
+    blocks = chain_blocks(instance.g, instance.h)
+    sigma2 = Alphabet(tuple(f"p{i}" for i in range(len(blocks))), instance.mode)
+    g_prime = Morphism._trusted(sigma2, instance.sigma, tuple(b.u for b in blocks))
+    h_prime = Morphism._trusted(sigma2, instance.sigma, tuple(b.v for b in blocks))
+    assert embeds(g_prime) and embeds(h_prime), message
+    assert len(sigma2) <= len(instance.sigma), "reduction cannot grow the alphabet"
+    return ReductionStep(instance, Instance(g_prime, h_prime), g_prime, h_prime, blocks)
+
+
+def intersect(
+    psi1: Morphism, psi2: Morphism, embeds: Callable[[Morphism], bool], message: str
+) -> Morphism:
+    """A marked map / immersion whose image is the intersection of the two
+    images: fresh generators p0, p1, ... map to the chains' labels."""
+    chains = agreeing_chains(psi1, psi2)
+    for label, u, v in chains:
+        assert apply(psi1, u).letters == label == apply(psi2, v).letters, (
+            "intersection maps disagree"
+        )
+    domain = Alphabet(tuple(f"p{i}" for i in range(len(chains))), psi1.mode)
+    images = tuple(Word._trusted(psi1.codomain, label) for label, _, _ in chains)
+    k = Morphism._trusted(domain, psi1.codomain, images)
+    assert embeds(k), message
+    return k
 
 
 def reduce_to_basis(

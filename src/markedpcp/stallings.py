@@ -8,10 +8,8 @@ of (edge id, direction) pairs with direction +1 (forward) or -1 (reversed).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable
 
 from .morphisms import Morphism, is_marked
 from .words import GROUP, Alphabet, Letter, Word
@@ -142,9 +140,7 @@ def _pullback(
     g1: StallingsGraph, g2: StallingsGraph
 ) -> tuple[StallingsGraph, list[tuple[int, int]]]:
     """The component of the base pair in the product of two graphs folded
-    both ways, built by search from the base pair.  The solver reads it off
-    the images instead (`_image_pullback`); this graph form is the
-    reference that the tests hold it to.
+    both ways, built by search from the base pair.
 
     Folding makes every (vertex, label, direction) step of g2 unique, so the
     search visits only that component.  Vertices are numbered in the order
@@ -247,12 +243,6 @@ def _core_with_maps(
     return core, kept_vertices, kept_edges
 
 
-def core_at(graph: StallingsGraph, v: int) -> StallingsGraph:
-    """Maximal subgraph through v with no degree-1 vertices other than
-    possibly v itself, restricted to v's connected component."""
-    return _core_with_maps(graph, v)[0]
-
-
 def _petal_label(graph: StallingsGraph, path: tuple[tuple[int, int], ...]) -> list[Letter]:
     return [Letter(graph.edges[e][2], d) for e, d in path]
 
@@ -333,82 +323,6 @@ def _petal_offsets(f: Morphism) -> tuple[list[int], list[int]]:
     return first_edge, first_vertex
 
 
-def _image_steps(f: Morphism) -> Callable[[int], dict[Letter, tuple[int, int]]]:
-    """The steps of the bouquet of an immersion f, read off its images:
-    vertex id -> {letter: (edge id, next vertex id)}.
-
-    Interior vertex v is position q of the image of generator gi; reading
-    letter L steps forward when the image has L at q and backward when it
-    has L^-1 at q-1.  From the base, L enters the image of the signed
-    generator whose image starts with L, unique because f is marked.
-    Reading L crosses its edge forward exactly when L is positive.
-    """
-    images = [img.letters for img in f.images]
-    first_edge, first_vertex = _petal_offsets(f)
-
-    def vertex(gi: int, q: int) -> int:
-        return 0 if q in (0, len(images[gi])) else first_vertex[gi] + q - 1
-
-    from_base = {}
-    for gi, im in enumerate(images):
-        last = im[-1]
-        from_base[im[0]] = (first_edge[gi], vertex(gi, 1))
-        from_base[Letter(last.index, -last.sign)] = (
-            first_edge[gi] + len(im) - 1,
-            vertex(gi, len(im) - 1),
-        )
-
-    def steps(v: int) -> dict[Letter, tuple[int, int]]:
-        if v == 0:
-            return from_base
-        # generators with one-letter images own no interior vertex, so the
-        # last generator starting at or before v is the one holding it
-        gi = bisect_right(first_vertex, v) - 1
-        q = v - first_vertex[gi] + 1
-        im = images[gi]
-        back = im[q - 1]
-        e = first_edge[gi] + q
-        return {
-            im[q]: (e, vertex(gi, q + 1)),
-            Letter(back.index, -back.sign): (e - 1, vertex(gi, q - 1)),
-        }
-
-    return steps
-
-
-def _image_pullback(g: Morphism, h: Morphism) -> tuple[StallingsGraph, list[tuple[int, int]]]:
-    """`_pullback(bouquet(g), bouquet(h))` for two immersions, read off their
-    images without building either bouquet: the same search, vertex
-    numbering and edge order."""
-    g_steps = _image_steps(g)
-    h_steps = _image_steps(h)
-    base = (0, 0)
-    found = {base}
-    queue = [base]
-    # each edge is recorded once, when crossed forward from its source
-    crossed: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int], int]] = {}
-    for v1, v2 in queue:
-        at2 = h_steps(v2)
-        for l, (i, w1) in g_steps(v1).items():
-            hit = at2.get(l)
-            if hit is None:
-                continue
-            j, w2 = hit
-            if l.sign > 0:
-                crossed[(i, j)] = ((v1, v2), (w1, w2), l.index)
-            if (w1, w2) not in found:
-                found.add((w1, w2))
-                queue.append((w1, w2))
-    new_id = {v: k for k, v in enumerate(sorted(found))}
-    pairs = sorted(crossed)
-    edges = []
-    for p in pairs:
-        s, t, lab = crossed[p]
-        edges.append((new_id[s], new_id[t], lab))
-    graph = StallingsGraph._trusted(g.codomain, len(found), tuple(edges), new_id[base], None)
-    return graph, pairs
-
-
 def core_of_pair(
     g: Morphism, h: Morphism
 ) -> tuple[StallingsGraph, tuple[int, ...], tuple[int, ...]]:
@@ -416,23 +330,20 @@ def core_of_pair(
 
     Returns the core (with petal structure attached) and the projections of
     its edges onto the edges of the two bouquets.  Only the component of
-    the base pair is built, and it is read off the images, so neither
-    bouquet is built; the result is the same as coring the full `product`.
-    For immersions the core is always a bouquet; anything else is rejected.
+    the base pair is built (`_pullback`); the result is the same as coring
+    the full `product`.  For immersions the core is always a bouquet;
+    anything else is rejected.  The solvers read the same petals off the
+    images (`instances.agreeing_chains`); this graph serves `export-dot`
+    and `solve --trace`.
     """
     if g.codomain != h.codomain:
         raise ValueError("core of a pair needs a common codomain")
-    # rejects what building the two bouquets and checking their folding
-    # rejected, with the same messages: with nonempty images, folded is marked
-    for f in (g, h):
-        if f.mode != GROUP:
-            raise ValueError("bouquets are built from group-mode morphisms")
-        for sym, img in zip(f.domain.symbols, f.images):
-            if not img:
-                raise ValueError(f"image of {sym} is empty: petal would be degenerate")
+    gb, hb = bouquet(g), bouquet(h)
+    # `bouquet` rejects monoid maps and empty images; past that, a bouquet
+    # is folded both ways exactly when its map is marked
     if not (is_marked(g) and is_marked(h)):
         raise ValueError("core of a pair is only defined for immersions")
-    component, pairs = _image_pullback(g, h)
+    component, pairs = _pullback(gb, hb)
     core, _, kept_edges = _core_with_maps(component, component.base)
     g_edges = tuple(pairs[i][0] for i in kept_edges)
     h_edges = tuple(pairs[i][1] for i in kept_edges)
@@ -501,29 +412,6 @@ def petals_to_morphisms(
     g_prime = Morphism._trusted(sigma2, g.domain, tuple(_decode_paths(g_paths, g)))
     h_prime = Morphism._trusted(sigma2, h.domain, tuple(_decode_paths(h_paths, h)))
     return g_prime, h_prime
-
-
-def membership(graph: StallingsGraph, w: Word) -> bool:
-    """Does w label a reduced closed circuit at the base?
-
-    Requires the graph folded both ways, so traversal is deterministic.
-    """
-    if w.alphabet != graph.alphabet:
-        raise ValueError("word does not lie over the graph's label alphabet")
-    if not is_folded_both_ways(graph):
-        raise ValueError("membership requires a graph folded both ways")
-    forward = {}
-    backward = {}
-    for s, t, lab in graph.edges:
-        forward[(s, lab)] = t
-        backward[(t, lab)] = s
-    cur = graph.base
-    for l in w.letters:
-        nxt = forward.get((cur, l.index)) if l.sign > 0 else backward.get((cur, l.index))
-        if nxt is None:
-            return False
-        cur = nxt
-    return cur == graph.base
 
 
 def export_dot(graph: StallingsGraph) -> str:

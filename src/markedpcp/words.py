@@ -92,6 +92,13 @@ class Alphabet:
                     table[s + "^-1"] = Letter(i, -1)
         return table
 
+    @functools.cached_property
+    def _inverse_letters(self) -> dict[Letter, Letter]:
+        """Letter to its inverse, over both signs of every symbol, keyed in
+        `Letter.sort_key` order.  Built on first use, so that inverting
+        image letters builds no new `Letter`s."""
+        return {Letter(i, s): Letter(i, -s) for i in range(len(self.symbols)) for s in (1, -1)}
+
     def positive_letters(self) -> list[Letter]:
         return [Letter(i, 1) for i in range(len(self.symbols))]
 

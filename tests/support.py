@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from markedpcp.instances import Instance
-from markedpcp.morphisms import Morphism, is_immersion, is_marked
+from markedpcp.morphisms import Morphism, compose, is_immersion, is_marked
 from markedpcp.words import GROUP, MONOID, Alphabet, Letter, Word, parse_word
 
 
@@ -110,3 +110,22 @@ def random_group_instance(
         random_immersion(rng, sigma, delta, max_len),
         random_immersion(rng, sigma, delta, max_len),
     )
+
+
+def large_immersed_pairs(rng: random.Random, count: int):
+    """Pairs of immersions into one codomain, ranks up to 10 and image
+    lengths up to 60; every third pair is g and g composed with a short
+    immersion into its domain, so its core is not trivial."""
+    for n in range(count):
+        m = rng.randint(1, 10)
+        delta = Alphabet(tuple(f"x{i}" for i in range(m)), GROUP)
+        sigma1 = Alphabet(tuple(f"a{i}" for i in range(rng.randint(1, m))), GROUP)
+        if n % 3 == 0:
+            g = random_immersion(rng, sigma1, delta, rng.randint(2, 20))
+            sigma2 = Alphabet(tuple(f"b{i}" for i in range(rng.randint(1, len(sigma1)))), GROUP)
+            h = compose(g, random_immersion(rng, sigma2, sigma1, 3))
+        else:
+            g = random_immersion(rng, sigma1, delta, rng.randint(2, 60))
+            sigma2 = Alphabet(tuple(f"b{i}" for i in range(rng.randint(1, m))), GROUP)
+            h = random_immersion(rng, sigma2, delta, rng.randint(2, 60))
+        yield g, h

@@ -47,7 +47,7 @@ class TestSolve:
             calls.append((g, h))
             return real(g, h)
 
-        for module in (stallings, group, cli):
+        for module in (stallings, cli):
             monkeypatch.setattr(module, "core_of_pair", counting)
         trace = tmp_path / "steps"
         assert run(["solve", IMMERSED, "--trace", str(trace)]) == 0

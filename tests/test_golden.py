@@ -1,0 +1,33 @@
+"""CLI output pinned byte for byte on the fixtures: `solve` stdout, the
+`solve --trace` step files and `export-dot --graph core`.  The files under
+`fixtures/golden` were written when the group reduction still decoded the
+petals of the pair core graph, and the monoid one still ran the overhang
+search, so they hold the chain walk to the old output.
+"""
+
+import pytest
+
+from markedpcp.cli import run
+
+from conftest import FIXTURES
+
+GOLDEN = FIXTURES / "golden"
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("name", ["immersed_pair", "marked_pair"])
+def test_solve_and_trace(name, capsys, tmp_path):
+    trace = tmp_path / "trace"
+    assert run(["solve", str(FIXTURES / f"{name}.pcp"), "--trace", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / f"{name}_solve.txt").read_bytes()
+    assert _files(trace) == _files(GOLDEN / f"{name}_trace")
+
+
+def test_export_core(tmp_path):
+    dot = tmp_path / "core.dot"
+    assert run(["export-dot", str(FIXTURES / "immersed_pair.pcp"), "--graph", "core", "-o", str(dot)]) == 0
+    assert dot.read_bytes() == (GOLDEN / "immersed_pair_core.dot").read_bytes()

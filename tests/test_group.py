@@ -267,7 +267,7 @@ def _planted_group_family(rng, size=3):
 
 
 class TestNoBouquetOfTheInputs:
-    """Solving reads the pair cores off the images: no bouquet of an input
+    """Solving reads the petals off the images: no bouquet of an input
     map is built (bouquets of the reduced maps and of the embedding are,
     by the immersion self-checks)."""
 
@@ -304,6 +304,36 @@ class TestNoBouquetOfTheInputs:
         assert len(result.basis) >= 1
         assert seen
         assert all(f != m for f in seen for m in maps)
+
+
+class TestNoGraphOnTheSolvePath:
+    """The pullback, the pair core and petal decoding are off the solve
+    path: with all three raising, pairs and families still solve, to the
+    same results."""
+
+    @staticmethod
+    def _forbid_graphs(monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solving built a pair graph")
+
+        for name in ("_pullback", "core_of_pair", "petals_to_morphisms"):
+            monkeypatch.setattr(stallings, name, forbidden)
+
+    def test_solve_pair(self, monkeypatch):
+        instance = parse((FIXTURES / "immersed_pair.pcp").read_text())
+        expected = group.solve_pair(instance)
+        self._forbid_graphs(monkeypatch)
+        result = group.solve_pair(instance)
+        assert result.trail
+        assert result == expected
+
+    def test_solve_set(self, monkeypatch):
+        maps, sigma, delta = _planted_group_family(random.Random(127))
+        expected = group.solve_set(maps, sigma, delta)
+        self._forbid_graphs(monkeypatch)
+        result = group.solve_set(maps, sigma, delta)
+        assert len(result.basis) >= 1
+        assert result == expected
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"

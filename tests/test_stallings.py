@@ -8,21 +8,25 @@ from markedpcp.stallings import (
     StallingsGraph,
     _core_with_maps,
     _extract_petals,
-    _image_pullback,
     _product_with_pairs,
     _pullback,
     bouquet,
-    core_at,
     core_of_pair,
     export_dot,
     is_folded_both_ways,
-    membership,
     petals_to_morphisms,
     product,
 )
 from markedpcp.words import GROUP, MONOID, Alphabet, Word, ball, empty_word, parse_word
 
-from support import morphism, random_group_morphism, random_immersion, random_marked_morphism
+from reduction_reference import _image_pullback, core_at, membership
+from support import (
+    large_immersed_pairs,
+    morphism,
+    random_group_morphism,
+    random_immersion,
+    random_marked_morphism,
+)
 
 DG = Alphabet(("x", "y", "z"), GROUP)
 
@@ -254,30 +258,11 @@ class TestPullback:
         assert core_at(component, component.base) == core_at(prod, prod.base)
 
 
-def _large_immersed_pairs(rng, count):
-    """Pairs of immersions into one codomain, ranks up to 10 and image
-    lengths up to 60; every third pair is g and g composed with a short
-    immersion into its domain, so its core is not trivial."""
-    for n in range(count):
-        m = rng.randint(1, 10)
-        delta = Alphabet(tuple(f"x{i}" for i in range(m)), GROUP)
-        sigma1 = Alphabet(tuple(f"a{i}" for i in range(rng.randint(1, m))), GROUP)
-        if n % 3 == 0:
-            g = random_immersion(rng, sigma1, delta, rng.randint(2, 20))
-            sigma2 = Alphabet(tuple(f"b{i}" for i in range(rng.randint(1, len(sigma1)))), GROUP)
-            h = compose(g, random_immersion(rng, sigma2, sigma1, 3))
-        else:
-            g = random_immersion(rng, sigma1, delta, rng.randint(2, 60))
-            sigma2 = Alphabet(tuple(f"b{i}" for i in range(rng.randint(1, m))), GROUP)
-            h = random_immersion(rng, sigma2, delta, rng.randint(2, 60))
-        yield g, h
-
-
 class TestImagePullback:
     def test_matches_the_pullback_of_the_bouquets(self):
         rng = random.Random(97)
         nontrivial = 0
-        for g, h in _large_immersed_pairs(rng, 180):
+        for g, h in large_immersed_pairs(rng, 180):
             component, pairs = _image_pullback(g, h)
             ref, ref_pairs = _pullback(bouquet(g), bouquet(h))
             assert component == ref
