@@ -18,10 +18,12 @@ from . import monoid as monoid_solver
 from .fileformat import ParseError, parse, serialize, serialize_instance
 from .instances import EqualiserResult, Instance, SetInstance, prefix_complexity
 from .morphisms import NotMarkedError, is_immersion, is_marked
-from .oracle import BallSpec, check_result
-from .density import IMMERSION_GROUP, MARKED_MONOID, DensityParams, measure_density
 from .stallings import bouquet, core_of_pair, export_dot, product
 from .words import GROUP, MONOID
+
+# `density.MARKED_MONOID` and `density.IMMERSION_GROUP`, named here so that
+# building the parser does not import `density`
+DENSITY_KINDS = ("marked-monoid", "immersion-group")
 
 
 def _read(path: str) -> Instance | SetInstance:
@@ -103,6 +105,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import BallSpec, check_result  # deferred: no other command uses it
+
     problem = _read(args.file)
     ball = BallSpec(args.radius, problem.mode)
     result = _solve(problem, force_set=False)
@@ -113,6 +117,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
+    from .density import DensityParams, measure_density  # deferred, as oracle
+
     params = DensityParams(args.k, args.m, args.n, args.samples)
     empirical, predicted = measure_density(params, args.kind, seed=args.seed)
     sys.stdout.write("kind,k,m,n,samples,empirical,predicted\n")
@@ -171,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("density", help="measure marked/immersion density")
-    p.add_argument("--kind", choices=(MARKED_MONOID, IMMERSION_GROUP), required=True)
+    p.add_argument("--kind", choices=DENSITY_KINDS, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)

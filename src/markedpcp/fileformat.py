@@ -14,50 +14,60 @@ whitespace-separated letters, inverses with the ^-1 suffix, `eps` for the
 empty word.  Group images must arrive freely reduced; unreduced input is
 an error with a position rather than something to fix silently, so files
 stay unambiguous.
+
+Each line is read once and split with `str.split()`; the line and column
+of a token are found only when an error is raised there.
 """
 
 from __future__ import annotations
 
 from .instances import EqualiserResult, Instance, SetInstance
 from .morphisms import Morphism
-from .words import _SYMBOL_RE, GROUP, MONOID, Alphabet, Token, Word, format_word
+from .words import _SYMBOL_RE, GROUP, MONOID, Alphabet, Word, format_word
 from .words import ParseError, parse_letters, tokenize_line  # ParseError is re-exported
 
 # words the format gives a meaning of their own; as symbols they would be
 # misread as directives or as the empty word
 _RESERVED = frozenset(("eps", "map", "mode", "sigma", "delta"))
 
+Line = tuple[int, str, list[str]]  # line number, text, its tokens
 
-def _tokenize(text: str) -> list[list[Token]]:
-    lines: list[list[Token]] = []
+
+def _lines(text: str) -> list[Line]:
+    """The lines that hold a token, with comments cut (a `\r` before the
+    `\n` is whitespace to `str.split()`)."""
+    lines: list[Line] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        hash_pos = line.find("#")
-        if hash_pos != -1:
-            line = line[:hash_pos]
-        tokens = tokenize_line(line, lineno)
+        line = raw.partition("#")[0]
+        tokens = line.split()
         if tokens:
-            lines.append(tokens)
+            lines.append((lineno, line, tokens))
     return lines
 
 
-def _expect_directive(line: list[Token], name: str) -> list[Token]:
-    lineno, col, word = line[0]
+def _error(message: str, line: Line, k: int = 0) -> ParseError:
+    """The error at token `k` of `line`, positioned by re-reading the line."""
+    lineno, text, _ = line
+    _, col, _ = tokenize_line(text, lineno)[k]
+    return ParseError(message, lineno, col)
+
+
+def _expect_directive(line: Line, name: str) -> list[str]:
+    word = line[2][0]
     if word != name:
-        raise ParseError(f"expected '{name}' directive, found {word!r}", lineno, col)
-    return line[1:]
+        raise _error(f"expected '{name}' directive, found {word!r}", line)
+    return line[2][1:]
 
 
-def _parse_symbols(tokens: list[Token], what: str) -> tuple[str, ...]:
-    symbols: list[str] = []
-    for lineno, col, tok in tokens:
+def _parse_symbols(line: Line, what: str) -> tuple[str, ...]:
+    symbols = _expect_directive(line, what)
+    for k, tok in enumerate(symbols, start=1):
         if not _SYMBOL_RE.match(tok):
-            raise ParseError(f"malformed {what} symbol {tok!r}", lineno, col)
+            raise _error(f"malformed {what} symbol {tok!r}", line, k)
         if tok in _RESERVED:
-            raise ParseError(f"reserved word {tok!r} cannot be a {what} symbol", lineno, col)
-        if tok in symbols:
-            raise ParseError(f"duplicate {what} symbol {tok!r}", lineno, col)
-        symbols.append(tok)
+            raise _error(f"reserved word {tok!r} cannot be a {what} symbol", line, k)
+        if tok in symbols[: k - 1]:
+            raise _error(f"duplicate {what} symbol {tok!r}", line, k)
     return tuple(symbols)
 
 
@@ -68,65 +78,63 @@ def parse(text: str) -> Instance | SetInstance:
     (a single block is a degenerate but accepted file, as produced when a
     result morphism is written back out).
     """
-    lines = _tokenize(text)
+    lines = _lines(text)
     if not lines:
         raise ParseError("empty file", 1, 1)
     pos = 0
 
     rest = _expect_directive(lines[pos], "mode")
-    if len(rest) != 1 or rest[0][2] not in (MONOID, GROUP):
-        lineno, col = lines[pos][0][0], lines[pos][0][1]
-        raise ParseError("mode must be 'monoid' or 'group'", lineno, col)
-    mode = rest[0][2]
+    if len(rest) != 1 or rest[0] not in (MONOID, GROUP):
+        raise _error("mode must be 'monoid' or 'group'", lines[pos])
+    mode = rest[0]
     pos += 1
 
     if pos >= len(lines):
-        raise ParseError("missing 'sigma' line", lines[-1][0][0], 1)
-    sigma = Alphabet(_parse_symbols(_expect_directive(lines[pos], "sigma"), "sigma"), mode)
+        raise ParseError("missing 'sigma' line", lines[-1][0], 1)
+    sigma = Alphabet(_parse_symbols(lines[pos], "sigma"), mode)
     pos += 1
 
     if pos >= len(lines):
-        raise ParseError("missing 'delta' line", lines[-1][0][0], 1)
-    delta = Alphabet(_parse_symbols(_expect_directive(lines[pos], "delta"), "delta"), mode)
+        raise ParseError("missing 'delta' line", lines[-1][0], 1)
+    delta = Alphabet(_parse_symbols(lines[pos], "delta"), mode)
     pos += 1
 
     names: list[str] = []
     morphisms: list[Morphism] = []
     while pos < len(lines):
         line = lines[pos]
-        lineno, col, word = line[0]
-        if word != "map":
-            raise ParseError(f"expected 'map' directive, found {word!r}", lineno, col)
-        if len(line) != 2 or not _SYMBOL_RE.match(line[1][2]):
-            raise ParseError("map needs exactly one morphism name", lineno, col)
-        name = line[1][2]
+        rest = _expect_directive(line, "map")
+        if len(rest) != 1 or not _SYMBOL_RE.match(rest[0]):
+            raise _error("map needs exactly one morphism name", line)
+        name = rest[0]
         if name in names:
-            raise ParseError(f"duplicate map name {name!r}", lineno, col)
+            raise _error(f"duplicate map name {name!r}", line)
         pos += 1
         mapping: dict[str, Word] = {}
-        while pos < len(lines) and lines[pos][0][2] != "map":
+        while pos < len(lines) and lines[pos][2][0] != "map":
             entry = lines[pos]
-            la, ca, sym = entry[0]
+            lineno, entry_text, entry_tokens = entry
+            sym = entry_tokens[0]
             if sym not in sigma:
-                raise ParseError(f"unknown generator {sym!r}", la, ca)
+                raise _error(f"unknown generator {sym!r}", entry)
             if sym in mapping:
-                raise ParseError(f"duplicate mapping for {sym!r}", la, ca)
-            if len(entry) < 2 or entry[1][2] != "=":
-                raise ParseError("expected '=' after the generator", la, ca)
-            if len(entry) < 3:
-                raise ParseError(f"missing image for {sym!r}", la, ca)
-            mapping[sym] = parse_letters(delta, entry[2:])
+                raise _error(f"duplicate mapping for {sym!r}", entry)
+            if len(entry_tokens) < 2 or entry_tokens[1] != "=":
+                raise _error("expected '=' after the generator", entry)
+            if len(entry_tokens) < 3:
+                raise _error(f"missing image for {sym!r}", entry)
+            mapping[sym] = parse_letters(delta, entry_text, entry_tokens, 2, lineno)
             pos += 1
         for sym in sigma.symbols:
             if sym not in mapping:
-                raise ParseError(f"map {name!r} is missing generator {sym!r}", lineno, col)
+                raise _error(f"map {name!r} is missing generator {sym!r}", line)
         names.append(name)
         morphisms.append(
             Morphism(sigma, delta, tuple(mapping[s] for s in sigma.symbols))
         )
 
     if not morphisms:
-        raise ParseError("file contains no map blocks", lines[-1][0][0], 1)
+        raise ParseError("file contains no map blocks", lines[-1][0], 1)
     if len(morphisms) == 2:
         return Instance(morphisms[0], morphisms[1], (names[0], names[1]))
     return SetInstance(tuple(morphisms), tuple(names))

@@ -81,10 +81,13 @@ def apply(f: Morphism, w: Word) -> Word:
         for l in w.letters:
             out.extend(f.images[l.index].letters)
         return Word._trusted(f.codomain, tuple(out))
+    inverse = None  # the codomain's letter-inverse table, fetched at the first x^-1
     for l in w.letters:
         img = f.images[l.index].letters
         if l.sign < 0:
-            img = [Letter(x.index, -x.sign) for x in reversed(img)]
+            if inverse is None:
+                inverse = f.codomain._inverse_letters
+            img = list(map(inverse.__getitem__, reversed(img)))
         for x in img:
             # x cancels the last letter when it is that letter's inverse
             if out and out[-1].index == x.index and out[-1].sign != x.sign:

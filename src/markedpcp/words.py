@@ -8,13 +8,15 @@ for raw letter sequences.  Equality is therefore plain sequence equality.
 Solver code that has just built a word correctly uses `Word._trusted`,
 which skips these checks.
 
-The word text syntax lives here only: `parse_letters` reads it from
-positioned tokens, for `parse_word` and for the instance file format.
+The word text syntax lives here only: `parse_letters` reads it from the
+plain tokens of `str.split()`, for `parse_word` and for the instance file
+format, and finds a token's line and column only to report an error there.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -178,10 +180,6 @@ def _check_letters(alphabet: Alphabet, letters: tuple[Letter, ...]) -> None:
             raise ValueError(f"monoid word contains inverse letter at position {pos}")
 
 
-def empty_word(alphabet: Alphabet) -> Word:
-    return Word(alphabet, ())
-
-
 def _reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     out: list[Letter] = []
     for l in letters:
@@ -265,7 +263,8 @@ def ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
 
 
 def tokenize_line(text: str, line: int = 1) -> list[Token]:
-    """The whitespace-separated tokens of one line of text, with positions."""
+    """The tokens of `text.split()` with their positions, read as line
+    `line`: found only to name where an error is."""
     return [(line, m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(text)]
 
 
@@ -282,29 +281,43 @@ def _token_error(alphabet: Alphabet, tok: str) -> str:
     return f"unknown letter {sym!r}"
 
 
-def parse_letters(alphabet: Alphabet, tokens: Sequence[Token]) -> Word:
-    """The word spelled by `tokens`: letters, inverses written with the
-    suffix ^-1 (group mode only), the empty word spelled `eps` standing
+def parse_letters(
+    alphabet: Alphabet, text: str, tokens: Sequence[str], start: int = 0, line: int = 1
+) -> Word:
+    """The word spelled by `tokens[start:]`, where `tokens` is `text.split()`
+    and `text` is line `line` of the input: letters, inverses written with
+    the suffix ^-1 (group mode only), the empty word spelled `eps` standing
     alone.  Group words must arrive freely reduced.  Every error is a
     `ParseError` at the offending token."""
-    if len(tokens) == 1 and tokens[0][2] == "eps":
+    toks = tokens[start:]
+    if len(toks) == 1 and toks[0] == "eps":
         return Word._trusted(alphabet, ())
     table = alphabet._token_letters
+    try:
+        letters = tuple(map(table.__getitem__, toks))
+    except KeyError:
+        pass
+    else:
+        if alphabet.mode != GROUP or not any(
+            map(operator.eq, map(alphabet._inverse_letters.__getitem__, letters), letters[1:])
+        ):
+            return Word._trusted(alphabet, letters)
+    # an unknown token or a cancelling pair: name the first in token order
     group = alphabet.mode == GROUP
-    letters: list[Letter] = []
-    for line, col, tok in tokens:
+    previous = None
+    for ln, col, tok in tokenize_line(text, line)[start:]:
         letter = table.get(tok)
         if letter is None:
-            raise ParseError(_token_error(alphabet, tok), line, col)
-        if group and letters and letters[-1].index == letter.index and letters[-1] != letter:
-            raise ParseError("image is not freely reduced here", line, col)
-        letters.append(letter)
-    return Word._trusted(alphabet, tuple(letters))
+            raise ParseError(_token_error(alphabet, tok), ln, col)
+        if group and previous is not None and previous.index == letter.index and previous != letter:
+            raise ParseError("image is not freely reduced here", ln, col)
+        previous = letter
+    raise AssertionError(f"parse_letters: no error found in {text!r} after the fast path failed")
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Parse `text`, read as line 1, in the syntax of `parse_letters`."""
-    return parse_letters(alphabet, tokenize_line(text))
+    return parse_letters(alphabet, text, text.split())
 
 
 def format_letter(alphabet: Alphabet, l: Letter) -> str:

@@ -9,6 +9,10 @@ from markedpcp.morphisms import Morphism, compose, is_immersion, is_marked
 from markedpcp.words import GROUP, MONOID, Alphabet, Letter, Word, parse_word
 
 
+def empty_word(alphabet: Alphabet) -> Word:
+    return Word(alphabet, ())
+
+
 def morphism(sigma: Alphabet, delta: Alphabet, *image_texts: str) -> Morphism:
     return Morphism(sigma, delta, tuple(parse_word(delta, t) for t in image_texts))
 

@@ -267,3 +267,32 @@ class TestParserReuse:
         assert "usage: markedpcp solve" in capsys.readouterr().err
         assert run(["solve", MARKED]) == 0
         assert capsys.readouterr().out == "case cycle\nbasis 1\np0 = a b\n"
+
+
+class TestColdImport:
+    """`solve`, `check` and `reduce` load no oracle or density code."""
+
+    def test_cli_import_leaves_oracle_and_density_out(self):
+        code = (
+            "import sys, markedpcp.cli; "
+            "print(sorted({'markedpcp.oracle', 'markedpcp.density'} & set(sys.modules)))"
+        )
+        assert _fresh_python(["-c", code]).stdout == "[]\n"
+
+    def test_solve_leaves_oracle_and_density_out(self):
+        code = (
+            "import sys, markedpcp.cli as c; "
+            f"c.run(['solve', {IMMERSED!r}]); c.run(['check', {MARKED!r}]); "
+            f"c.run(['reduce', {MARKED!r}]); "
+            "print(sorted({'markedpcp.oracle', 'markedpcp.density'} & set(sys.modules)), "
+            "file=sys.stderr)"
+        )
+        assert _fresh_python(["-c", code]).stderr == "[]\n"
+
+    def test_density_kinds_are_the_density_module_names(self):
+        from markedpcp.density import IMMERSION_GROUP, MARKED_MONOID
+
+        assert cli.DENSITY_KINDS == (MARKED_MONOID, IMMERSION_GROUP)
+        density = _build_parser()._subparsers._group_actions[0].choices["density"]
+        kind = next(a for a in density._actions if a.dest == "kind")
+        assert kind.choices == (MARKED_MONOID, IMMERSION_GROUP)

@@ -24,7 +24,6 @@ from markedpcp.words import (
     Alphabet,
     Letter,
     Word,
-    empty_word,
     format_letter,
     free_reduce,
     invert,
@@ -32,6 +31,7 @@ from markedpcp.words import (
 )
 
 from support import (
+    empty_word,
     morphism,
     random_group_morphism,
     random_immersion,

@@ -11,12 +11,11 @@ from markedpcp.words import (
     MONOID,
     Alphabet,
     concat,
-    empty_word,
     longest_common_prefix,
     parse_word,
 )
 
-from support import morphism, random_monoid_instance
+from support import empty_word, morphism, random_monoid_instance
 
 SM = Alphabet(("a", "b"), MONOID)
 DM = Alphabet(("x", "y"), MONOID)

@@ -17,10 +17,11 @@ from markedpcp.stallings import (
     petals_to_morphisms,
     product,
 )
-from markedpcp.words import GROUP, MONOID, Alphabet, Word, ball, empty_word, parse_word
+from markedpcp.words import GROUP, MONOID, Alphabet, Word, ball, parse_word
 
 from reduction_reference import _image_pullback, core_at, membership
 from support import (
+    empty_word,
     large_immersed_pairs,
     morphism,
     random_group_morphism,

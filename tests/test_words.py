@@ -13,7 +13,6 @@ from markedpcp.words import (
     Word,
     ball,
     concat,
-    empty_word,
     format_word,
     free_reduce,
     invert,
@@ -21,6 +20,8 @@ from markedpcp.words import (
     parse_word,
     proper_prefixes,
 )
+
+from support import empty_word
 
 GA = Alphabet(("x", "y", "z"), GROUP)
 MA = Alphabet(("x", "y"), MONOID)
