@@ -96,7 +96,8 @@ def reduced_word_count(m: int, n: int, A, B) -> int:
         + (-1) ** n * (a * b - y * m)
     )
     count, rem = divmod(numerator, 2 * m)
-    assert rem == 0, "closed form must produce an integer"
+    if rem != 0:
+        raise AssertionError("closed form must produce an integer")
     return count
 
 

@@ -271,15 +271,25 @@ def agreeing_chains(g: Morphism, h: Morphism) -> list[Chain]:
     firsts, runs, images = (g_firsts, h_firsts), (g_runs, h_runs), (g.images, h.images)
 
     def inverse_run(side: int, x: Letter) -> tuple[Letter, ...]:
-        r = tuple([inverse[l] for l in reversed(images[side][x.index].letters)])
+        # through a list, which sizes the tuple: a tuple grown from the bare
+        # map is resized as it fills, and that raised peak RSS run over run
+        r = tuple([*map(inverse.__getitem__, reversed(images[side][x.index].letters))])
         runs[side][x] = r
         return r
 
     chains: list[Chain] = []
     for a in starts:
-        x = g_firsts.get(a)
-        if x is None or a not in h_firsts:
+        x, y = g_firsts.get(a), h_firsts.get(a)
+        if x is None or y is None:
             continue
+        # Most starts end at the two runs' second letters: read them off the
+        # images, so that no inverse run is built for a walk that stops there.
+        gx, hy = g.images[x.index].letters, h.images[y.index].letters
+        if len(gx) > 1 and len(hy) > 1:
+            if (gx[1] if x.sign > 0 else inverse[gx[-2]]) != (
+                hy[1] if y.sign > 0 else inverse[hy[-2]]
+            ):
+                continue
         words: tuple[list[Letter], list[Letter]] = ([x], [])
         lead, last, off = 0, x, 0
         lead_run = g_runs.get(x) or inverse_run(0, x)
@@ -362,8 +372,10 @@ def reduce_step(
     sigma2 = Alphabet(tuple(f"p{i}" for i in range(len(blocks))), instance.mode)
     g_prime = Morphism._trusted(sigma2, instance.sigma, tuple(b.u for b in blocks))
     h_prime = Morphism._trusted(sigma2, instance.sigma, tuple(b.v for b in blocks))
-    assert embeds(g_prime) and embeds(h_prime), message
-    assert len(sigma2) <= len(instance.sigma), "reduction cannot grow the alphabet"
+    if not (embeds(g_prime) and embeds(h_prime)):
+        raise AssertionError(message)
+    if len(sigma2) > len(instance.sigma):
+        raise AssertionError("reduction cannot grow the alphabet")
     return ReductionStep(instance, Instance(g_prime, h_prime), g_prime, h_prime, blocks)
 
 
@@ -374,13 +386,13 @@ def intersect(
     images: fresh generators p0, p1, ... map to the chains' labels."""
     chains = agreeing_chains(psi1, psi2)
     for label, u, v in chains:
-        assert apply(psi1, u).letters == label == apply(psi2, v).letters, (
-            "intersection maps disagree"
-        )
+        if not apply(psi1, u).letters == label == apply(psi2, v).letters:
+            raise AssertionError("intersection maps disagree")
     domain = Alphabet(tuple(f"p{i}" for i in range(len(chains))), psi1.mode)
     images = tuple(Word._trusted(psi1.codomain, label) for label, _, _ in chains)
     k = Morphism._trusted(domain, psi1.codomain, images)
-    assert embeds(k), message
+    if not embeds(k):
+        raise AssertionError(message)
     return k
 
 
@@ -425,10 +437,13 @@ def reduce_to_basis(
             w = apply(step.g_prime, w)
         images.append(w)
     embedding = Morphism._trusted(domain, instance.sigma, tuple(images))
-    assert embeds(embedding), "equaliser embedding fails its marked / immersion check"
-    assert len(images) <= len(instance.sigma), "rank bound violated"
+    if not embeds(embedding):
+        raise AssertionError("equaliser embedding fails its marked / immersion check")
+    if len(images) > len(instance.sigma):
+        raise AssertionError("rank bound violated")
     for w in images:
-        assert apply(instance.g, w) == apply(instance.h, w), "basis word is not a solution"
+        if apply(instance.g, w) != apply(instance.h, w):
+            raise AssertionError("basis word is not a solution")
     return EqualiserResult(embedding, embedding.images, tuple(trail), case)
 
 
@@ -458,11 +473,11 @@ def solve_family(
     psi = pair_results[0].embedding
     for res in pair_results[1:]:
         psi = intersect(psi, res.embedding)
-    assert len(psi.images) <= len(sigma), "rank bound violated"
+    if len(psi.images) > len(sigma):
+        raise AssertionError("rank bound violated")
     for w in psi.images:
         first = apply(morphisms[0], w)
-        assert all(apply(f, w) == first for f in morphisms[1:]), (
-            "basis word is not a solution of the whole family"
-        )
+        if not all(apply(f, w) == first for f in morphisms[1:]):
+            raise AssertionError("basis word is not a solution of the whole family")
     trail = tuple(step for res in pair_results for step in res.trail)
     return EqualiserResult(psi, psi.images, trail, pair_results[0].case)

@@ -114,10 +114,13 @@ def _first_letter_clash(f: Morphism) -> tuple[str, str] | None:
     maps; only a clash or an empty image walks the letters to name it.
     """
     images = [img.letters for img in f.images]
+    if not images:
+        return None
     try:
         firsts = {w[0] for w in images}
         if f.domain.mode == GROUP:
-            firsts.update([Letter(w[-1].index, -w[-1].sign) for w in images])
+            # the inverse image starts with the inverse of the image's last letter
+            firsts.update(map(f.codomain._inverse_letters.__getitem__, [w[-1] for w in images]))
             if len(firsts) == 2 * len(images):
                 return None
         elif len(firsts) == len(images):
@@ -182,18 +185,26 @@ def _immersion_by_lengths(f: Morphism) -> bool:
     # immersions (an immersion is injective), so guard them out; this keeps
     # the three characterisations in agreement.
     images = [img.letters for img in f.images]
+    if not images:
+        return True
     if not all(images):
         return False
     # Free reduction of f(x) f(y) only cancels at the junction, so
     # |f(xy)| = |f(x)| + |f(y)| - 2c exactly, with c the junction count of
     # the two reduced images, and the identity holds iff c = 0: f is applied
-    # to no word xy.
-    signed = images + [invert(img).letters for img in f.images]
+    # to no word xy.  A junction needs the last letter of f(x) to cancel the
+    # first of f(y), so only the images starting with that inverse letter
+    # are looked at.
+    inverse = f.codomain._inverse_letters
+    signed = images + [tuple([*map(inverse.__getitem__, reversed(w))]) for w in images]
     k = len(images)
+    starting: dict[Letter, list[int]] = {}
+    for j, v in enumerate(signed):
+        starting.setdefault(v[0], []).append(j)
     for i, u in enumerate(signed):
-        inverse = (i + k) % (2 * k)
-        for j, v in enumerate(signed):
-            if j != inverse and _junction(u, v):
+        partner = (i + k) % (2 * k)  # f(x^-1) = f(x)^-1 always cancels
+        for j in starting.get(inverse[u[-1]], ()):
+            if j != partner and _junction(u, signed[j]):
                 return False
     return True
 
@@ -201,8 +212,6 @@ def _immersion_by_lengths(f: Morphism) -> bool:
 def _immersion_by_folding(f: Morphism) -> bool:
     if any(not img for img in f.images):
         return False
-    from . import stallings  # deferred: stallings imports this module
-
     return stallings.is_folded_both_ways(stallings.bouquet(f))
 
 
@@ -213,11 +222,12 @@ def is_immersion(f: Morphism, method: str = "all") -> bool:
       `marked`  - the images of all generators and inverses form a marked set;
       `folded`  - the bouquet graph is deterministic and co-deterministic;
       `lengths` - no cancellation, |f(xy)| = |f(x)| + |f(y)| whenever xy != 1.
-    `lengths` checks the 4k^2 - 2k ordered pairs of signed generators with
+    `lengths` decides the 4k^2 - 2k ordered pairs of signed generators with
     y != x^-1 (k generators).  It reads |f(xy)| off the two reduced images
     as |f(x)| + |f(y)| minus twice the number of letters cancelling at their
     junction; that is exact, because a product of two reduced words cancels
-    only there.
+    only there.  An index of the signed images by first letter finds the
+    pairs whose junction letters cancel, so it looks at O(k) pairs, not all.
     `all` computes the three and insists that they agree.
     """
     if f.mode != GROUP:
@@ -288,3 +298,7 @@ def greedy_decode(f: Morphism, w: Word) -> Word | None:
         out.append(gen)
         rest = rest[len(img) :]
     return Word(f.domain, tuple(out))
+
+
+# stallings imports this module, so it is bound here, after every name it uses
+from . import stallings  # noqa: E402

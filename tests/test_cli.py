@@ -107,6 +107,20 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err == "error: internal check failed: petal maps must be immersions\n"
 
+    def test_failed_self_check_is_named_under_python_O(self):
+        # `python -O` strips `assert` statements; the solver's self-checks
+        # raise on their own and still end in exit 4
+        code = (
+            "import sys; from markedpcp import cli, group; "
+            "print(sys.flags.optimize); "
+            "group.is_immersion = lambda f, method='all': False; "
+            f"sys.exit(cli.run(['solve', {IMMERSED!r}]))"
+        )
+        fresh = _fresh_python(["-O", "-c", code], check=False)
+        assert fresh.returncode == 4
+        assert fresh.stdout == "1\n"
+        assert fresh.stderr == "error: internal check failed: petal maps must be immersions\n"
+
 
 class TestCheck:
     def test_unfoldable_map_fails_thrice(self, capsys):
@@ -227,12 +241,12 @@ class TestExportDot:
         capsys.readouterr()
 
 
-def _fresh_python(args: list[str]) -> subprocess.CompletedProcess:
+def _fresh_python(args: list[str], check: bool = True) -> subprocess.CompletedProcess:
     src = str(pathlib.Path(markedpcp.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=check,
     )
 
 

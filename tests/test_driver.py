@@ -10,8 +10,12 @@ import pytest
 
 import markedpcp
 from markedpcp import group, monoid
+from markedpcp.fileformat import parse
 from markedpcp.instances import Instance
 from markedpcp.morphisms import NotMarkedError
+from markedpcp.words import GROUP
+
+from conftest import FIXTURES
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,6 +48,19 @@ def test_monoid_does_not_import_group():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
     )
     assert fresh.stdout == "False\n"
+
+
+@pytest.mark.parametrize("fixture", ["marked_pair.pcp", "immersed_pair.pcp"])
+def test_solving_keeps_no_state_on_the_inputs(fixture):
+    # a benchmark that solves the same parsed objects again would time a
+    # cache kept on them, not the solver
+    inst = parse((FIXTURES / fixture).read_text())
+    inputs = [inst, *inst.morphisms, *inst.g.images, *inst.h.images]
+    before = [dict(vars(x)) for x in inputs]
+    solver = group if inst.mode == GROUP else monoid
+    solver.solve_pair(inst)
+    solver.solve_set([inst.g, inst.h], inst.sigma, inst.delta)
+    assert [vars(x) for x in inputs] == before
 
 
 class TestTracedBenchmark:

@@ -414,6 +414,45 @@ def _pair_lengths(f):
                 yield x, y, len(apply(f, Word._trusted(f.domain, (x, y))))
 
 
+def _large_length_cases(rng):
+    """Seeded group maps of rank 5-10, where most of the 4k^2 - 2k pairs are
+    clean and the first-letter index has to find the one that is not: an
+    immersion, an immersion with a planted junction cascade between two
+    signed generators x and y != x^-1 (its image ending in `p q`, y's
+    starting with `q^-1 p^-1`, or x = y with `p q t q^-1 p^-1`), an
+    immersion with one empty image, and an arbitrary map."""
+    for n in range(160):
+        k = rng.randint(5, 10)
+        m = rng.randint(k, 10)
+        sigma = Alphabet(tuple(f"a{j}" for j in range(k)), GROUP)
+        delta = Alphabet(tuple(f"x{j}" for j in range(m)), GROUP)
+        kind = n % 4
+        if kind == 3:
+            yield random_group_morphism(rng, sigma, delta, 6)
+            continue
+        f = random_immersion(rng, sigma, delta, 6)
+        if kind == 2:
+            yield _with_image(f, rng.randrange(k), ())
+            continue
+        if kind == 1:
+            x = rng.choice(sigma.signed_letters())
+            y = rng.choice([l for l in sigma.signed_letters() if l != x.inverse()])
+            p, q = random_reduced_word(rng, delta, 2).letters
+            if x == y:
+                t = rng.choice([l for l in delta.signed_letters() if l.index != q.index])
+                runs = {x: (p, q, t, q.inverse(), p.inverse())}
+            else:
+                runs = {
+                    x: random_reduced_word(rng, delta, rng.randint(0, 3)).letters + (p, q),
+                    y: (q.inverse(), p.inverse())
+                    + random_reduced_word(rng, delta, rng.randint(0, 3)).letters,
+                }
+            for l, run in runs.items():
+                run = free_reduce(delta, run).letters
+                f = _with_image(f, l.index, run if l.sign > 0 else invert(Word(delta, run)).letters)
+        yield f
+
+
 class TestLengthsCheckAgreement:
     """The `lengths` check reads |f(xy)| off the two reduced images; it
     gives the verdict of applying f to every two-letter word, and `apply`
@@ -480,3 +519,29 @@ class TestLengthsCheckAgreement:
             cancelled += bool(w) and not got
         if mode == GROUP:
             assert cancelled >= 20
+
+    def test_same_verdict_at_large_rank(self):
+        rng = random.Random(79)
+        outcomes = []
+        for f in _large_length_cases(rng):
+            expected = _reference_lengths(f)
+            assert _immersion_by_lengths(f) == expected
+            assert is_immersion(f, "lengths") == expected
+            outcomes.append("immersion" if expected else "not")
+            if any(not img for img in f.images):
+                outcomes.append("empty")
+            elif any(
+                n <= len(f.image(x)) + len(f.image(y)) - 4 for x, y, n in _pair_lengths(f)
+            ):
+                outcomes.append("cascade")
+        for kind in ("immersion", "not", "empty", "cascade"):
+            assert outcomes.count(kind) >= 20, kind
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rank_zero_is_an_immersion_by_every_method(self, m):
+        sigma = Alphabet((), GROUP)
+        delta = Alphabet(tuple(f"x{j}" for j in range(m)), GROUP)
+        f = Morphism(sigma, delta, ())
+        assert _immersion_by_lengths(f) is _reference_lengths(f) is True
+        for method in ("marked", "folded", "lengths", "all"):
+            assert is_immersion(f, method) is True
