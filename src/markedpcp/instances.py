@@ -256,8 +256,10 @@ def agreeing_chains(g: Morphism, h: Morphism) -> list[Chain]:
 
     In group mode each chain is also found read backwards, as its inverse;
     only the one whose label is shortlex-smaller than its inverse is kept.
-    These are the petals of the pair core, oriented as `_extract_petals`
-    orients them.
+    These are the petals of the pair core, oriented as the petal
+    extraction of the tests' graph path (`_extract_petals` in
+    `tests/reduction_reference.py`) orients them; `stallings.core_of_pair`
+    reads the core off them.
     """
     codomain = g.codomain
     if g.mode == GROUP:

@@ -2,23 +2,29 @@
 kept as its judge, and the graph helpers only the tests use.
 
 `_search_block` is the monoid overhang search, one block per codomain
-letter.  `_image_pullback` reads the base component of the product of two
-bouquets off the images (`_image_steps`); coring it and decoding its petals
-gave the group reduction.  `core_at` and `membership` are the plain graph
-operations that the Stallings tests check the pair core against.
+letter.  `_pullback` searches the base component of the product of two
+bouquets, `_core_with_maps` prunes it to its core and `_extract_petals`
+splits and orients the petals: `reference_core_of_pair` chains the three,
+and `stallings.core_of_pair`, read off the chains, is judged against it.
+`_image_pullback` reads the same component off the images
+(`_image_steps`); coring it and decoding its petals gave the group
+reduction.  `core_at` and `membership` are the plain graph operations that
+the Stallings tests check the pair core against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter, deque
 from typing import Callable
 
 from markedpcp.instances import Block
 from markedpcp.morphisms import Morphism
 from markedpcp.stallings import (
+    Petal,
     StallingsGraph,
-    _core_with_maps,
     _petal_offsets,
+    bouquet,
     is_folded_both_ways,
 )
 from markedpcp.words import Letter, Word
@@ -102,6 +108,198 @@ def reference_blocks(g: Morphism, h: Morphism) -> tuple[Block, ...]:
             u, v = found
             blocks.append(Block(a, Word(g.domain, tuple(u)), Word(h.domain, tuple(v))))
     return tuple(blocks)
+
+
+def _edge_head(edge: tuple[int, int, int], direction: int) -> int:
+    return edge[1] if direction > 0 else edge[0]
+
+
+def _pullback(
+    g1: StallingsGraph, g2: StallingsGraph
+) -> tuple[StallingsGraph, list[tuple[int, int]]]:
+    """The component of the base pair in the product of two graphs folded
+    both ways, built by search from the base pair.
+
+    Folding makes every (vertex, label, direction) step of g2 unique, so the
+    search visits only that component.  Vertices are numbered in the order
+    of their ids in the full product and edges sorted by their pair of
+    edge ids, so this is exactly the subgraph that the full product has on
+    the component, renumbered.
+    """
+    steps1: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g1.num_vertices)]
+    for i, (s, t, lab) in enumerate(g1.edges):
+        steps1[s].append((lab, 1, i, t))
+        steps1[t].append((lab, -1, i, s))
+    steps2: dict[tuple[int, int, int], tuple[int, int]] = {}
+    for j, (s, t, lab) in enumerate(g2.edges):
+        steps2[(s, lab, 1)] = (j, t)
+        steps2[(t, lab, -1)] = (j, s)
+    base = (g1.base, g2.base)
+    found = {base}
+    queue = [base]
+    crossed: set[tuple[int, int]] = set()  # each edge is crossed from both ends
+    for v1, v2 in queue:
+        for lab, d, i, w1 in steps1[v1]:
+            hit = steps2.get((v2, lab, d))
+            if hit is None:
+                continue
+            j, w2 = hit
+            crossed.add((i, j))
+            if (w1, w2) not in found:
+                found.add((w1, w2))
+                queue.append((w1, w2))
+    new_id = {v: k for k, v in enumerate(sorted(found))}
+    pairs = sorted(crossed)
+    edges = []
+    for i, j in pairs:
+        s1, t1, lab = g1.edges[i]
+        s2, t2, _ = g2.edges[j]
+        edges.append((new_id[(s1, s2)], new_id[(t1, t2)], lab))
+    graph = StallingsGraph._trusted(g1.alphabet, len(found), tuple(edges), new_id[base], None)
+    return graph, pairs
+
+
+def _core_with_maps(
+    graph: StallingsGraph, v: int
+) -> tuple[StallingsGraph, list[int], list[int]]:
+    """Core of the graph at v plus the surviving old vertex/edge ids."""
+    if not 0 <= v < graph.num_vertices:
+        raise ValueError("core vertex not in graph")
+    alive_edge = [True] * len(graph.edges)
+    incident: list[list[int]] = [[] for _ in range(graph.num_vertices)]
+    degree = [0] * graph.num_vertices
+    for i, (s, t, _) in enumerate(graph.edges):
+        incident[s].append(i)
+        incident[t].append(i)
+        degree[s] += 1
+        degree[t] += 1
+    queue = deque(u for u in range(graph.num_vertices) if u != v and degree[u] == 1)
+    dead = [False] * graph.num_vertices
+    while queue:
+        u = queue.popleft()
+        if dead[u] or degree[u] != 1:
+            continue
+        dead[u] = True
+        for i in incident[u]:
+            if not alive_edge[i]:
+                continue
+            alive_edge[i] = False
+            s, t, _ = graph.edges[i]
+            for w in (s, t):
+                degree[w] -= 1
+            other = t if s == u else s
+            if other != v and not dead[other] and degree[other] == 1:
+                queue.append(other)
+    # restrict to the connected component of v; pruning alone can leave
+    # stray components of a product graph
+    neighbours: list[list[int]] = [[] for _ in range(graph.num_vertices)]
+    for i, (s, t, _) in enumerate(graph.edges):
+        if alive_edge[i]:
+            neighbours[s].append(t)
+            neighbours[t].append(s)
+    reachable = [False] * graph.num_vertices
+    reachable[v] = True
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for w in neighbours[u]:
+            if not reachable[w]:
+                reachable[w] = True
+                stack.append(w)
+    kept_vertices = [u for u in range(graph.num_vertices) if reachable[u] and not dead[u]]
+    new_id = {u: i for i, u in enumerate(kept_vertices)}
+    kept_edges = [
+        i
+        for i, (s, t, _) in enumerate(graph.edges)
+        if alive_edge[i] and reachable[s] and reachable[t]
+    ]
+    edges = tuple(
+        (new_id[graph.edges[i][0]], new_id[graph.edges[i][1]], graph.edges[i][2])
+        for i in kept_edges
+    )
+    core = StallingsGraph._trusted(graph.alphabet, len(kept_vertices), edges, new_id[v], None)
+    return core, kept_vertices, kept_edges
+
+
+def _petal_label(graph: StallingsGraph, path: tuple[tuple[int, int], ...]) -> list[Letter]:
+    return [Letter(graph.edges[e][2], d) for e, d in path]
+
+
+def _label_key(label: list[Letter]) -> tuple:
+    return (len(label), tuple(l.sort_key() for l in label))
+
+
+def _extract_petals(graph: StallingsGraph) -> tuple[Petal, ...]:
+    """Split the graph into closed petal paths at the base.
+
+    Requires a bouquet: every non-base vertex of degree two and all edges
+    covered by pairwise disjoint base-to-base circuits.  Each petal is
+    oriented so that its label is shortlex-minimal against its inverse, and
+    petals are sorted by (first letter, shortlex of label), then named
+    p0, p1, ... in that order.
+    """
+    leaving: dict[int, list[tuple[int, int]]] = {}
+    for i, (s, t, _) in enumerate(graph.edges):
+        leaving.setdefault(s, []).append((i, 1))
+        leaving.setdefault(t, []).append((i, -1))
+    unused = sorted(leaving.get(graph.base, []))
+    unused_set = set(unused)
+
+    paths: list[tuple[tuple[int, int], ...]] = []
+    total_steps = 0
+    for start in unused:
+        if start not in unused_set:
+            continue
+        unused_set.discard(start)
+        path = [start]
+        e, d = start
+        cur = _edge_head(graph.edges[e], d)
+        while cur != graph.base:
+            arrived_back = (e, -d)
+            options = [x for x in leaving.get(cur, []) if x != arrived_back]
+            if len(options) != 1:
+                raise ValueError("graph is not a bouquet at its base")
+            e, d = options[0]
+            path.append((e, d))
+            cur = _edge_head(graph.edges[e], d)
+            total_steps += 1
+            if total_steps > len(graph.edges) + 1:
+                raise ValueError("graph is not a bouquet at its base")
+        closing = (e, -d)
+        if closing not in unused_set:
+            raise ValueError("graph is not a bouquet at its base")
+        unused_set.discard(closing)
+        paths.append(tuple(path))
+
+    used = Counter(e for path in paths for e, _ in path)
+    if len(used) != len(graph.edges) or any(c != 1 for c in used.values()):
+        raise ValueError("graph is not a bouquet at its base")
+
+    oriented = []
+    for path in paths:
+        label = _petal_label(graph, path)
+        flipped = tuple((e, -d) for e, d in reversed(path))
+        flipped_label = [l.inverse() for l in reversed(label)]
+        if _label_key(flipped_label) < _label_key(label):
+            path, label = flipped, flipped_label
+        oriented.append((path, label))
+    oriented.sort(key=lambda pl: (pl[1][0].sort_key(), _label_key(pl[1])))
+    return tuple((f"p{i}", path) for i, (path, _) in enumerate(oriented))
+
+
+def reference_core_of_pair(
+    g: Morphism, h: Morphism
+) -> tuple[StallingsGraph, tuple[int, ...], tuple[int, ...]]:
+    """The pair core by the graph path: the base component of the product of
+    the two bouquets, cored at its base, its petals split off and attached,
+    and its edges projected onto the bouquets' edges."""
+    component, pairs = _pullback(bouquet(g), bouquet(h))
+    core, _, kept_edges = _core_with_maps(component, component.base)
+    g_edges = tuple(pairs[i][0] for i in kept_edges)
+    h_edges = tuple(pairs[i][1] for i in kept_edges)
+    petals = _extract_petals(core)
+    core = StallingsGraph(core.alphabet, core.num_vertices, core.edges, core.base, petals)
+    return core, g_edges, h_edges
 
 
 def _image_steps(f: Morphism) -> Callable[[int], dict[Letter, tuple[int, int]]]:

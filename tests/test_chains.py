@@ -2,7 +2,8 @@
 
 Monoid blocks must equal the overhang search's (`reduction_reference`), and
 group steps must equal the petal maps of the pair core, decoded from the
-graph, with block letters read off the first edges of the core's petals.
+graph that the pullback search of `reduction_reference` builds, with block
+letters read off the first edges of the core's petals.
 The pairs are seeded random pairs, the large immersed pairs of the
 Stallings tests, every instance on the trails of the long-trail pool and
 the fixtures, and seeded pairs planted so that a start's two runs share a
@@ -21,11 +22,11 @@ from markedpcp import group, monoid
 from markedpcp.fileformat import parse
 from markedpcp.instances import Block, Instance, agreeing_chains
 from markedpcp.morphisms import Morphism, apply, compose, is_immersion, is_marked
-from markedpcp.stallings import core_of_pair, petals_to_morphisms
+from markedpcp.stallings import petals_to_morphisms
 from markedpcp.words import GROUP, MONOID, Alphabet, Letter, Word, invert
 
 from conftest import FIXTURES
-from reduction_reference import reference_blocks
+from reduction_reference import reference_blocks, reference_core_of_pair
 from support import (
     large_immersed_pairs,
     random_group_instance,
@@ -66,9 +67,9 @@ def _check_monoid(g, h):
 
 
 def _check_group(g, h):
-    """Chains equal the decoded core petals; returns whether the core has
-    an edge."""
-    core, g_edges, h_edges = core_of_pair(g, h)
+    """Chains equal the decoded petals of the core built by the graph path;
+    returns whether the core has an edge."""
+    core, g_edges, h_edges = reference_core_of_pair(g, h)
     g_ref, h_ref = petals_to_morphisms(core, g_edges, h_edges, g, h)
     letters = tuple(Letter(core.edges[path[0][0]][2], path[0][1]) for _, path in core.petals)
     expected = tuple(Block(l, u, v) for l, u, v in zip(letters, g_ref.images, h_ref.images))

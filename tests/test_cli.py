@@ -236,6 +236,12 @@ class TestExportDot:
         assert run(["export-dot", MARKED, "--graph", "g", "-o", "/tmp/unused.dot"]) == 2
         assert "group" in capsys.readouterr().err
 
+    def test_core_of_a_monoid_file_exits_two(self, capsys, tmp_path):
+        out_path = tmp_path / "core.dot"
+        assert run(["export-dot", MARKED, "--graph", "core", "-o", str(out_path)]) == 2
+        assert capsys.readouterr().err == "error: bouquets are built from group-mode morphisms\n"
+        assert not out_path.exists()
+
     def test_bad_flags_exit_two(self, capsys):
         assert run(["export-dot", IMMERSED, "--graph", "nonsense", "-o", "x"]) == 2
         capsys.readouterr()

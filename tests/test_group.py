@@ -307,16 +307,16 @@ class TestNoBouquetOfTheInputs:
 
 
 class TestNoGraphOnTheSolvePath:
-    """The pullback, the pair core and petal decoding are off the solve
-    path: with all three raising, pairs and families still solve, to the
-    same results."""
+    """The pair core, the walk of its chains along the bouquets' petals and
+    petal decoding are off the solve path: with all three raising, pairs and
+    families still solve, to the same results."""
 
     @staticmethod
     def _forbid_graphs(monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("solving built a pair graph")
 
-        for name in ("_pullback", "core_of_pair", "petals_to_morphisms"):
+        for name in ("_edge_run", "core_of_pair", "petals_to_morphisms"):
             monkeypatch.setattr(stallings, name, forbidden)
 
     def test_solve_pair(self, monkeypatch):

@@ -6,10 +6,7 @@ import pytest
 from markedpcp.morphisms import apply, compose, identity, is_immersion
 from markedpcp.stallings import (
     StallingsGraph,
-    _core_with_maps,
-    _extract_petals,
     _product_with_pairs,
-    _pullback,
     bouquet,
     core_of_pair,
     export_dot,
@@ -19,7 +16,15 @@ from markedpcp.stallings import (
 )
 from markedpcp.words import GROUP, MONOID, Alphabet, Word, ball, parse_word
 
-from reduction_reference import _image_pullback, core_at, membership
+from reduction_reference import (
+    _core_with_maps,
+    _extract_petals,
+    _image_pullback,
+    _pullback,
+    core_at,
+    membership,
+    reference_core_of_pair,
+)
 from support import (
     empty_word,
     large_immersed_pairs,
@@ -27,6 +32,7 @@ from support import (
     random_group_morphism,
     random_immersion,
     random_marked_morphism,
+    random_reduced_word,
 )
 
 DG = Alphabet(("x", "y", "z"), GROUP)
@@ -259,6 +265,66 @@ class TestPullback:
         assert core_at(component, component.base) == core_at(prod, prod.base)
 
 
+def _refilled(rng, f, keep, max_len):
+    """f with the image of each generator outside `keep` refilled between
+    its first and last letters, up to max_len letters.  Folding at the base
+    reads only those two letters, so the result is still an immersion."""
+    images = list(f.images)
+    for i, img in enumerate(f.images):
+        if i in keep or len(img) == 1:
+            continue
+        first, last = img.first, img.last
+        while True:
+            inner = random_reduced_word(rng, f.codomain, rng.randint(0, max_len - 2)).letters
+            word = (first,) + inner + (last,)
+            if all(a != b.inverse() for a, b in zip(word, word[1:])):
+                break
+        images[i] = Word(f.codomain, word)
+    out = replace(f, images=tuple(images))
+    assert is_immersion(out)
+    return out
+
+
+def _rank_ten_pairs_sharing_images(rng, count):
+    """Rank-10 immersed pairs with images up to 60 letters, where h keeps
+    the images of g on a random half of the generators and refills the
+    rest, so that no core is trivial."""
+    sigma = Alphabet(tuple(f"a{i}" for i in range(10)), GROUP)
+    delta = Alphabet(tuple(f"x{i}" for i in range(10)), GROUP)
+    for _ in range(count):
+        g = random_immersion(rng, sigma, delta, 60)
+        yield g, _refilled(rng, g, set(rng.sample(range(10), 5)), 60)
+
+
+class TestCoreOfPairAtSize:
+    """The core read off the chains against the graph path of
+    `reduction_reference`, on pairs well beyond `TestPullback`'s ranks and
+    image lengths."""
+
+    @staticmethod
+    def _check(g, h):
+        core, g_edges, h_edges = core_of_pair(g, h)
+        ref, ref_g_edges, ref_h_edges = reference_core_of_pair(g, h)
+        assert export_dot(core) == export_dot(ref)
+        assert core.petals == ref.petals
+        assert (g_edges, h_edges) == (ref_g_edges, ref_h_edges)
+        assert core == ref
+        assert petals_to_morphisms(core, g_edges, h_edges, g, h) == petals_to_morphisms(
+            ref, ref_g_edges, ref_h_edges, g, h
+        )
+        return bool(core.petals)
+
+    def test_large_immersed_pairs(self):
+        rng = random.Random(157)
+        assert sum(self._check(g, h) for g, h in large_immersed_pairs(rng, 180)) >= 50
+
+    def test_rank_ten_pairs_sharing_images(self):
+        rng = random.Random(163)
+        pairs = list(_rank_ten_pairs_sharing_images(rng, 60))
+        assert max(len(w) for g, h in pairs for w in g.images + h.images) > 50
+        assert sum(self._check(g, h) for g, h in pairs) >= 50
+
+
 class TestImagePullback:
     def test_matches_the_pullback_of_the_bouquets(self):
         rng = random.Random(97)
@@ -328,6 +394,48 @@ class TestCoreOfPairPrecondition:
         h = morphism(one, Alphabet(("x", "y"), GROUP), "x")
         with pytest.raises(ValueError):
             core_of_pair(g, h)
+
+
+class TestCoreOfPairMessages:
+    """The exact messages, one per failing check, in the order the checks
+    run: codomains, then the bouquets, then the immersion test."""
+
+    ONE = Alphabet(("a",), GROUP)
+
+    @staticmethod
+    def _message(g, h):
+        with pytest.raises(ValueError) as err:
+            core_of_pair(g, h)
+        return str(err.value)
+
+    def test_codomain_mismatch(self):
+        g = morphism(self.ONE, DG, "x")
+        h = morphism(self.ONE, Alphabet(("x", "y"), GROUP), "x")
+        assert self._message(g, h) == "core of a pair needs a common codomain"
+
+    def test_monoid_pair(self):
+        sigma = Alphabet(("a",), MONOID)
+        delta = Alphabet(("x", "y"), MONOID)
+        g, h = morphism(sigma, delta, "x"), morphism(sigma, delta, "y")
+        assert self._message(g, h) == "bouquets are built from group-mode morphisms"
+
+    def test_empty_image(self):
+        g, h = morphism(self.ONE, DG, "x"), morphism(self.ONE, DG, "")
+        assert self._message(g, h) == "image of a is empty: petal would be degenerate"
+
+    def test_non_immersion(self, unfoldable_map):
+        expected = "core of a pair is only defined for immersions"
+        assert self._message(unfoldable_map, unfoldable_map) == expected
+
+    def test_first_failing_check_names_the_error(self, unfoldable_map):
+        monoid_map = morphism(Alphabet(("a",), MONOID), Alphabet(("x",), MONOID), "x")
+        assert self._message(monoid_map, unfoldable_map) == (
+            "core of a pair needs a common codomain"
+        )
+        empty = morphism(unfoldable_map.domain, unfoldable_map.codomain, "", "x")
+        assert self._message(unfoldable_map, empty) == (
+            "image of a is empty: petal would be degenerate"
+        )
 
 
 class TestPetalsToMorphisms:
