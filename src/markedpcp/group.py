@@ -27,12 +27,13 @@ from .words import GROUP, Alphabet
 
 
 def reduce_group_instance(instance: Instance) -> ReductionStep:
-    """Replace an immersed pair by the pair of petal maps of its core."""
+    """Replace an immersed pair by the pair of petal maps of its core.
+
+    A map that is not an immersion raises `require_immersion`'s error,
+    found by the walk's first-letter index rather than a separate check."""
     if instance.mode != GROUP:
         raise ValueError("group reduction needs a group-mode instance")
-    require_immersion(instance.g, instance.names[0])
-    require_immersion(instance.h, instance.names[1])
-    return reduce_step(instance, is_immersion, "petal maps must be immersions")
+    return reduce_step(instance, is_immersion, "petal maps must be immersions", instance.names)
 
 
 def solve_pair(instance: Instance) -> EqualiserResult:
@@ -42,6 +43,11 @@ def solve_pair(instance: Instance) -> EqualiserResult:
         raise ValueError("this solver handles group-mode instances")
     require_immersion(instance.g, instance.names[0])
     require_immersion(instance.h, instance.names[1])
+    return _solve_immersed_pair(instance)
+
+
+def _solve_immersed_pair(instance: Instance) -> EqualiserResult:
+    """`solve_pair` for two maps already checked to be immersions."""
     return reduce_to_basis(instance, reduce_group_instance, is_immersion)
 
 
@@ -57,4 +63,6 @@ def solve_set(
     then intersect the image subgroups through the petals of their pair cores."""
     if sigma.mode != GROUP:
         raise ValueError("this solver handles group-mode morphisms")
-    return solve_family(morphisms, sigma, delta, require_immersion, solve_pair, _intersect)
+    return solve_family(
+        morphisms, sigma, delta, require_immersion, _solve_immersed_pair, _intersect
+    )

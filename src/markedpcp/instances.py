@@ -6,7 +6,9 @@ reaches a solved shape or repeats, read the basis off the final pair, and
 pull it back through the trail; a family is solved pair by pair and the
 images are intersected.  Both modes reduce and intersect through one walk,
 `agreeing_chains`; only the mode and precondition checks and the marked /
-immersion self-checks differ, and the solvers pass them in.
+immersion self-checks differ, and the solvers pass them in.  The walk's
+first-letter index is the step precondition: the named marking /
+immersion check runs only when that index finds a clash.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .morphisms import Morphism, apply, compose
+from .morphisms import Morphism, apply, compose, require_immersion, require_marked
 from .words import GROUP, Alphabet, Letter, Word
 
 if TYPE_CHECKING:
@@ -168,6 +170,19 @@ def canonical_form(instance: Instance) -> tuple:
     )
 
 
+def _shape(instance: Instance) -> tuple:
+    """What every instance with one canonical form shares: the mode, both
+    alphabet sizes and the image lengths.  O(|Sigma|), where
+    `canonical_form` is O(total image length)."""
+    return (
+        instance.mode,
+        len(instance.sigma),
+        len(instance.delta),
+        tuple([len(img.letters) for img in instance.g.images]),
+        tuple([len(img.letters) for img in instance.h.images]),
+    )
+
+
 def prefix_complexity(instance: Instance) -> int:
     """Number of distinct nonempty proper prefixes of generator images,
     counted separately for the two morphisms and added.
@@ -239,7 +254,9 @@ def _terminal_case(instance: Instance) -> str | None:
 Chain = tuple[tuple[Letter, ...], Word, Word]  # label, u, v: g(u) = label = h(v)
 
 
-def agreeing_chains(g: Morphism, h: Morphism) -> list[Chain]:
+def agreeing_chains(
+    g: Morphism, h: Morphism, names: tuple[str, str] = ("g", "h")
+) -> list[Chain]:
     """The minimal agreeing pairs of two marked maps or two immersions into
     one codomain: each (label, u, v) with g(u) = label = h(v), u and v
     nonempty and no shorter nonempty prefixes agreeing, and the label given
@@ -260,6 +277,11 @@ def agreeing_chains(g: Morphism, h: Morphism) -> list[Chain]:
     extraction of the tests' graph path (`_extract_petals` in
     `tests/reduction_reference.py`) orients them; `stallings.core_of_pair`
     reads the core off them.
+
+    The walk indexes the signed images by first letter, and that index is
+    the marked / immersion precondition: when g or h is not marked (not an
+    immersion in group mode), the precondition's `NotMarkedError` is
+    raised for the first of them, under its name in `names`.
     """
     codomain = g.codomain
     if g.mode == GROUP:
@@ -268,8 +290,11 @@ def agreeing_chains(g: Morphism, h: Morphism) -> list[Chain]:
     else:
         inverse = None
         starts = codomain.positive_letters()
-    g_firsts, g_runs = _signed_images(g, inverse)
-    h_firsts, h_runs = _signed_images(h, inverse)
+    g_index, h_index = _signed_images(g, inverse), _signed_images(h, inverse)
+    if g_index is None or h_index is None:
+        _name_the_clash(g, h, names)
+    g_firsts, g_runs = g_index
+    h_firsts, h_runs = h_index
     firsts, runs, images = (g_firsts, h_firsts), (g_runs, h_runs), (g.images, h.images)
 
     def inverse_run(side: int, x: Letter) -> tuple[Letter, ...]:
@@ -329,19 +354,38 @@ def agreeing_chains(g: Morphism, h: Morphism) -> list[Chain]:
 
 def _signed_images(
     f: Morphism, inverse: dict[Letter, Letter] | None
-) -> tuple[dict[Letter, Letter], dict[Letter, tuple[Letter, ...]]]:
-    """First letter -> signed generator, a function since f is marked, and
-    generator -> the letters of its image.  With the codomain's table of
-    inverse letters (group mode) the first letters of the inverse images
-    are included; the walk builds those images when it needs them."""
+) -> tuple[dict[Letter, Letter], dict[Letter, tuple[Letter, ...]]] | None:
+    """First letter -> signed generator, and generator -> the letters of its
+    image.  With the codomain's table of inverse letters (group mode) the
+    first letters of the inverse images are included; the walk builds those
+    images when it needs them.
+
+    None when an image is empty or the index holds fewer letters than there
+    are signed images: exactly when `morphisms._first_letter_clash` finds a
+    clash, that is, when f is not marked (not an immersion).
+    """
     letters = [Letter(i, 1) for i in range(len(f.images))]
     runs = {x: img.letters for x, img in zip(letters, f.images)}
-    firsts = {img.letters[0]: x for x, img in zip(letters, f.images)}
-    if inverse is not None:
-        firsts.update(
-            {inverse[img.letters[-1]]: Letter(x.index, -1) for x, img in zip(letters, f.images)}
-        )
+    try:
+        firsts = {img.letters[0]: x for x, img in zip(letters, f.images)}
+        if inverse is not None:
+            firsts.update(
+                {inverse[img.letters[-1]]: Letter(x.index, -1) for x, img in zip(letters, f.images)}
+            )
+    except IndexError:  # an empty image
+        return None
+    if len(firsts) != (len(runs) if inverse is None else 2 * len(runs)):
+        return None
     return firsts, runs
+
+
+def _name_the_clash(g: Morphism, h: Morphism, names: tuple[str, str]) -> None:
+    """Raise the precondition's `NotMarkedError` for the first of g and h
+    that is not marked (not an immersion), as the solvers' entry check does."""
+    require = require_immersion if g.mode == GROUP else require_marked
+    require(g, names[0])
+    require(h, names[1])
+    raise AssertionError("first-letter index and marking check disagree")
 
 
 def _below_inverse(label: tuple[Letter, ...], inverse: dict[Letter, Letter]) -> bool:
@@ -354,13 +398,25 @@ def _below_inverse(label: tuple[Letter, ...], inverse: dict[Letter, Letter]) -> 
     return False
 
 
-def chain_blocks(g: Morphism, h: Morphism) -> tuple[Block, ...]:
+def chain_blocks(
+    g: Morphism, h: Morphism, names: tuple[str, str] = ("g", "h")
+) -> tuple[Block, ...]:
     """The chains of the pair as blocks, each named by its label's first letter."""
-    return tuple(Block(label[0], u, v) for label, u, v in agreeing_chains(g, h))
+    return tuple(Block(label[0], u, v) for label, u, v in agreeing_chains(g, h, names))
+
+
+@functools.lru_cache(maxsize=64)
+def _fresh_alphabet(size: int, mode: str) -> Alphabet:
+    """The alphabet p0, ..., p{size-1}, built once per size and mode, so
+    that its table of inverse letters is shared by every step and solve."""
+    return Alphabet(tuple(f"p{i}" for i in range(size)), mode)
 
 
 def reduce_step(
-    instance: Instance, embeds: Callable[[Morphism], bool], message: str
+    instance: Instance,
+    embeds: Callable[[Morphism], bool],
+    message: str,
+    names: tuple[str, str] = ("g", "h"),
 ) -> ReductionStep:
     """Replace the pair by the pair of chain maps.
 
@@ -368,10 +424,12 @@ def reduce_step(
     the chain's u and h' to its v.  The reduced instance's codomain is the
     previous domain; keeping the alphabets explicit avoids any symbol
     capture between levels.  `embeds` is the marked / immersion self-check
-    of the new maps, and `message` names it when it fails.
+    of the new maps, and `message` names it when it fails.  The walk checks
+    the marking of the pair (`agreeing_chains`); a clash is reported under
+    `names`.
     """
-    blocks = chain_blocks(instance.g, instance.h)
-    sigma2 = Alphabet(tuple(f"p{i}" for i in range(len(blocks))), instance.mode)
+    blocks = chain_blocks(instance.g, instance.h, names)
+    sigma2 = _fresh_alphabet(len(blocks), instance.mode)
     g_prime = Morphism._trusted(sigma2, instance.sigma, tuple(b.u for b in blocks))
     h_prime = Morphism._trusted(sigma2, instance.sigma, tuple(b.v for b in blocks))
     if not (embeds(g_prime) and embeds(h_prime)):
@@ -390,7 +448,7 @@ def intersect(
     for label, u, v in chains:
         if not apply(psi1, u).letters == label == apply(psi2, v).letters:
             raise AssertionError("intersection maps disagree")
-    domain = Alphabet(tuple(f"p{i}" for i in range(len(chains))), psi1.mode)
+    domain = _fresh_alphabet(len(chains), psi1.mode)
     images = tuple(Word._trusted(psi1.codomain, label) for label, _, _ in chains)
     k = Morphism._trusted(domain, psi1.codomain, images)
     if not embeds(k):
@@ -409,19 +467,31 @@ def reduce_to_basis(
     one, or a repeat of an earlier instance up to renaming.  The embedding
     is the composed trail restricted to the letters on which the final pair
     agrees; `embeds` is its marked / immersion self-check.
+
+    A repeat is looked for by shape first (`_shape`): the canonical form is
+    computed only for instances whose shape recurs in the trail, each at
+    most once, when a second instance of that shape arrives.
     """
     cur = instance
     trail: list[ReductionStep] = []
-    seen: set[tuple] = set()
+    # shape -> (instances of that shape not keyed yet, canonical forms)
+    by_shape: dict[tuple, tuple[list[Instance], set[tuple]]] = {}
     while True:
         case = _terminal_case(cur)
         if case is not None:
             break
-        key = canonical_form(cur)
-        if key in seen:
-            case = CASE_CYCLE
-            break
-        seen.add(key)
+        shape = _shape(cur)
+        if shape not in by_shape:
+            by_shape[shape] = ([cur], set())
+        else:
+            pending, keys = by_shape[shape]
+            keys.update(map(canonical_form, pending))
+            pending.clear()
+            key = canonical_form(cur)
+            if key in keys:
+                case = CASE_CYCLE
+                break
+            keys.add(key)
         step = reduce(cur)
         trail.append(step)
         cur = step.after
@@ -460,7 +530,9 @@ def solve_family(
     """Equaliser of a finite family: solve consecutive pairs, then intersect
     their images.  Agreement on consecutive pairs chains to the whole family.
 
-    `require` is the marked / immersion precondition, checked per morphism.
+    `require` is the marked / immersion precondition, checked once per
+    morphism; `solve_pair` solves a pair of maps that passed it, and checks
+    them no more.
     """
     if len(morphisms) < 2:
         raise ValueError("a set solve needs at least two morphisms")

@@ -23,15 +23,6 @@ from .morphisms import Morphism, is_marked, require_marked
 from .words import MONOID, Alphabet
 
 
-def _require_marked_pair(g: Morphism, h: Morphism) -> None:
-    if g.mode != MONOID or h.mode != MONOID:
-        raise ValueError("blocks are a monoid-mode construction")
-    if g.codomain != h.codomain:
-        raise ValueError("blocks need a common codomain")
-    require_marked(g, "g")
-    require_marked(h, "h")
-
-
 def compute_blocks(g: Morphism, h: Morphism) -> tuple[Block, ...]:
     """At most one block per codomain letter, in codomain letter order: the
     agreeing chains of the pair.
@@ -39,16 +30,24 @@ def compute_blocks(g: Morphism, h: Morphism) -> tuple[Block, ...]:
     The morphisms need not share a domain; they must be marked and share a
     codomain.
     """
-    _require_marked_pair(g, h)
+    if g.mode != MONOID or h.mode != MONOID:
+        raise ValueError("blocks are a monoid-mode construction")
+    if g.codomain != h.codomain:
+        raise ValueError("blocks need a common codomain")
+    require_marked(g, "g")
+    require_marked(h, "h")
     return chain_blocks(g, h)
 
 
 def reduce_instance(instance: Instance) -> ReductionStep:
     """Replace the pair by the pair of block maps, with fresh generators
-    p0, p1, ... in block order."""
+    p0, p1, ... in block order.
+
+    A map that is not marked raises `require_marked`'s error for "g" or
+    "h", found by the walk's first-letter index rather than a separate
+    check."""
     if instance.mode != MONOID:
         raise ValueError("monoid reduction needs a monoid-mode instance")
-    _require_marked_pair(instance.g, instance.h)
     return reduce_step(instance, is_marked, "block maps must be marked")
 
 
@@ -59,12 +58,17 @@ def solve_pair(instance: Instance) -> EqualiserResult:
         raise ValueError("this solver handles monoid-mode instances")
     require_marked(instance.g, instance.names[0])
     require_marked(instance.h, instance.names[1])
+    return _solve_marked_pair(instance)
+
+
+def _solve_marked_pair(instance: Instance) -> EqualiserResult:
+    """`solve_pair` for two maps already checked to be marked."""
     return reduce_to_basis(instance, reduce_instance, is_marked)
 
 
 def _intersect(psi1: Morphism, psi2: Morphism) -> Morphism:
-    """Marked morphism whose image is the intersection of the two images."""
-    _require_marked_pair(psi1, psi2)
+    """Marked morphism whose image is the intersection of the two images;
+    both are embeddings that passed `is_marked` when they were built."""
     return intersect(psi1, psi2, is_marked, "intersection map must be marked")
 
 
@@ -75,4 +79,4 @@ def solve_set(
     pairs, then intersect their images through blocks."""
     if sigma.mode != MONOID:
         raise ValueError("this solver handles monoid-mode morphisms")
-    return solve_family(morphisms, sigma, delta, require_marked, solve_pair, _intersect)
+    return solve_family(morphisms, sigma, delta, require_marked, _solve_marked_pair, _intersect)

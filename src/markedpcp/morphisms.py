@@ -228,7 +228,11 @@ def is_immersion(f: Morphism, method: str = "all") -> bool:
     junction; that is exact, because a product of two reduced words cancels
     only there.  An index of the signed images by first letter finds the
     pairs whose junction letters cancel, so it looks at O(k) pairs, not all.
-    `all` computes the three and insists that they agree.
+    `all` computes the three and insists that they agree.  The `marked` and
+    `lengths` legs agree by construction: a junction of f(x) and f(y),
+    y != x^-1, cancels exactly when two signed images share a first letter.
+    So `all` cross-checks the `folded` leg against what is in effect one
+    first-letter test.
     """
     if f.mode != GROUP:
         raise ValueError("immersions are a free-group notion; morphism is monoid-mode")

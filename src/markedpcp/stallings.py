@@ -134,18 +134,15 @@ def product(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
     return _product_with_pairs(g1, g2)[0]
 
 
-def _petal_offsets(f: Morphism) -> tuple[list[int], list[int]]:
-    """First edge id and first interior vertex id of each generator's
-    petal, numbered as `bouquet` numbers them."""
+def _first_edges(f: Morphism) -> list[int]:
+    """First edge id of each generator's petal, numbered as `bouquet`
+    numbers them."""
     first_edge: list[int] = []
-    first_vertex: list[int] = []
-    e, v = 0, 1
+    e = 0
     for img in f.images:
         first_edge.append(e)
-        first_vertex.append(v)
         e += len(img)
-        v += len(img) - 1
-    return first_edge, first_vertex
+    return first_edge
 
 
 def _edge_run(f: Morphism, first_edge: list[int], w: Word) -> list[int]:
@@ -184,7 +181,7 @@ def core_of_pair(
     # is folded both ways exactly when its map is marked
     if not (is_marked(g) and is_marked(h)):
         raise ValueError("core of a pair is only defined for immersions")
-    g_first, h_first = _petal_offsets(g)[0], _petal_offsets(h)[0]
+    g_first, h_first = _first_edges(g), _first_edges(h)
     walks = [
         (label, list(zip(_edge_run(g, g_first, u), _edge_run(h, h_first, v))))
         for label, u, v in instances.agreeing_chains(g, h)
@@ -214,7 +211,7 @@ def _decode_paths(paths: list[list[tuple[int, int]]], f: Morphism) -> list[Word]
     crossed in the direction of its letter's sign; its inverse is that run
     reversed, crossed against those signs.
     """
-    first_edge, _ = _petal_offsets(f)
+    first_edge = _first_edges(f)
     petals = [(gi, e, img) for gi, (e, img) in enumerate(zip(first_edge, f.images)) if img]
     starts = {e: gi for gi, e, _ in petals}
     ends = {e + len(img) - 1: gi for gi, e, img in petals}

@@ -9,7 +9,10 @@ and `stallings.core_of_pair`, read off the chains, is judged against it.
 `_image_pullback` reads the same component off the images
 (`_image_steps`); coring it and decoding its petals gave the group
 reduction.  `core_at` and `membership` are the plain graph operations that
-the Stallings tests check the pair core against.
+the Stallings tests check the pair core against.  `reference_reduce_to_basis`
+is the reduction loop that keys every trail instance by its canonical form;
+`instances.reduce_to_basis`, which keys only instances whose shape recurs,
+is judged against it.
 """
 
 from __future__ import annotations
@@ -18,12 +21,19 @@ from bisect import bisect_right
 from collections import Counter, deque
 from typing import Callable
 
-from markedpcp.instances import Block
-from markedpcp.morphisms import Morphism
+from markedpcp.instances import (
+    CASE_CYCLE,
+    Block,
+    Instance,
+    ReductionStep,
+    _terminal_case,
+    canonical_form,
+)
+from markedpcp.morphisms import Morphism, apply
 from markedpcp.stallings import (
     Petal,
     StallingsGraph,
-    _petal_offsets,
+    _first_edges,
     bouquet,
     is_folded_both_ways,
 )
@@ -302,6 +312,17 @@ def reference_core_of_pair(
     return core, g_edges, h_edges
 
 
+def _petal_offsets(f: Morphism) -> tuple[list[int], list[int]]:
+    """First edge id and first interior vertex id of each generator's
+    petal, numbered as `bouquet` numbers them."""
+    first_vertex: list[int] = []
+    v = 1
+    for img in f.images:
+        first_vertex.append(v)
+        v += len(img) - 1
+    return _first_edges(f), first_vertex
+
+
 def _image_steps(f: Morphism) -> Callable[[int], dict[Letter, tuple[int, int]]]:
     """The steps of the bouquet of an immersion f, read off its images:
     vertex id -> {letter: (edge id, next vertex id)}.
@@ -405,3 +426,33 @@ def membership(graph: StallingsGraph, w: Word) -> bool:
             return False
         cur = nxt
     return cur == graph.base
+
+
+def reference_reduce_to_basis(
+    instance: Instance, reduce: Callable[[Instance], ReductionStep]
+) -> tuple[str, tuple[ReductionStep, ...], tuple[Word, ...]]:
+    """The termination case, trail and basis of `instances.reduce_to_basis`,
+    from a loop that keys every instance of the trail by its canonical form
+    and stops at the first repeat."""
+    cur = instance
+    trail: list[ReductionStep] = []
+    seen: set[tuple] = set()
+    while True:
+        case = _terminal_case(cur)
+        if case is not None:
+            break
+        key = canonical_form(cur)
+        if key in seen:
+            case = CASE_CYCLE
+            break
+        seen.add(key)
+        trail.append(reduce(cur))
+        cur = trail[-1].after
+    basis = []
+    for i in range(len(cur.sigma)):
+        if cur.g.images[i] == cur.h.images[i]:
+            w = Word(cur.sigma, (Letter(i, 1),))
+            for step in reversed(trail):
+                w = apply(step.g_prime, w)
+            basis.append(w)
+    return case, tuple(trail), tuple(basis)

@@ -1,5 +1,6 @@
 """CLI output pinned byte for byte on the fixtures: `solve` stdout, the
-`solve --trace` step files and `export-dot --graph core`.  The files under
+`solve --trace` step files, `export-dot --graph core`, and the error that
+`reduce` and `solve` print for a pair whose first map is not an immersion.  The files under
 `fixtures/golden` were written when the group reduction still decoded the
 petals of the pair core graph, and the monoid one still ran the overhang
 search, so they hold the chain walk to the old output.
@@ -31,3 +32,11 @@ def test_export_core(tmp_path):
     dot = tmp_path / "core.dot"
     assert run(["export-dot", str(FIXTURES / "immersed_pair.pcp"), "--graph", "core", "-o", str(dot)]) == 0
     assert dot.read_bytes() == (GOLDEN / "immersed_pair_core.dot").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["reduce", "solve"])
+def test_precondition_error(command, capsys):
+    assert run([command, str(FIXTURES / "unimmersed_pair.pcp")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.encode() == (GOLDEN / "unimmersed_pair_stderr.txt").read_bytes()

@@ -78,7 +78,12 @@ def _agree(text):
 
 def _base_texts() -> list[str]:
     rng = random.Random(2)
-    texts = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.pcp"))]
+    # named, not globbed: the seeded draws below pick from this list, so a
+    # new fixture file would change which mutations the error kinds rest on
+    texts = [
+        (FIXTURES / f"{name}.pcp").read_text(encoding="utf-8")
+        for name in ("immersed_pair", "marked_pair", "unfoldable_map")
+    ]
     for _ in range(4):
         texts.append(serialize_instance(random_monoid_instance(rng)))
         group = random_group_instance(rng)
