@@ -16,14 +16,17 @@ an error with a position rather than something to fix silently, so files
 stay unambiguous.
 
 Each line is read once and split with `str.split()`; the line and column
-of a token are found only when an error is raised there.
+of a token are found only when an error is raised there.  The symbols are
+checked on every parse; the `sigma` and `delta` alphabets then come from
+the shared cache of `words._alphabet`, so every file over the same symbols
+and mode gets the same `Alphabet` objects.
 """
 
 from __future__ import annotations
 
 from .instances import EqualiserResult, Instance, SetInstance
 from .morphisms import Morphism
-from .words import _SYMBOL_RE, GROUP, MONOID, Alphabet, Word, format_word
+from .words import _SYMBOL_RE, GROUP, MONOID, Word, _alphabet, format_word
 from .words import ParseError, parse_letters, tokenize_line  # ParseError is re-exported
 
 # words the format gives a meaning of their own; as symbols they would be
@@ -91,12 +94,12 @@ def parse(text: str) -> Instance | SetInstance:
 
     if pos >= len(lines):
         raise ParseError("missing 'sigma' line", lines[-1][0], 1)
-    sigma = Alphabet(_parse_symbols(lines[pos], "sigma"), mode)
+    sigma = _alphabet(_parse_symbols(lines[pos], "sigma"), mode)
     pos += 1
 
     if pos >= len(lines):
         raise ParseError("missing 'delta' line", lines[-1][0], 1)
-    delta = Alphabet(_parse_symbols(lines[pos], "delta"), mode)
+    delta = _alphabet(_parse_symbols(lines[pos], "delta"), mode)
     pos += 1
 
     names: list[str] = []

@@ -33,7 +33,7 @@ def reduce_group_instance(instance: Instance) -> ReductionStep:
     found by the walk's first-letter index rather than a separate check."""
     if instance.mode != GROUP:
         raise ValueError("group reduction needs a group-mode instance")
-    return reduce_step(instance, is_immersion, "petal maps must be immersions", instance.names)
+    return reduce_step(instance, is_immersion, "petal maps must be immersions")
 
 
 def solve_pair(instance: Instance) -> EqualiserResult:

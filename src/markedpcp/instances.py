@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .morphisms import Morphism, apply, compose, require_immersion, require_marked
-from .words import GROUP, Alphabet, Letter, Word
+from .words import GROUP, Alphabet, Letter, Word, _alphabet
 
 if TYPE_CHECKING:
     from .stallings import StallingsGraph
@@ -405,18 +405,15 @@ def chain_blocks(
     return tuple(Block(label[0], u, v) for label, u, v in agreeing_chains(g, h, names))
 
 
-@functools.lru_cache(maxsize=64)
 def _fresh_alphabet(size: int, mode: str) -> Alphabet:
-    """The alphabet p0, ..., p{size-1}, built once per size and mode, so
-    that its table of inverse letters is shared by every step and solve."""
-    return Alphabet(tuple(f"p{i}" for i in range(size)), mode)
+    """The alphabet p0, ..., p{size-1}, from the shared cache of
+    `words._alphabet`, so that its table of inverse letters is shared by
+    every step and solve."""
+    return _alphabet(tuple([f"p{i}" for i in range(size)]), mode)
 
 
 def reduce_step(
-    instance: Instance,
-    embeds: Callable[[Morphism], bool],
-    message: str,
-    names: tuple[str, str] = ("g", "h"),
+    instance: Instance, embeds: Callable[[Morphism], bool], message: str
 ) -> ReductionStep:
     """Replace the pair by the pair of chain maps.
 
@@ -426,9 +423,9 @@ def reduce_step(
     capture between levels.  `embeds` is the marked / immersion self-check
     of the new maps, and `message` names it when it fails.  The walk checks
     the marking of the pair (`agreeing_chains`); a clash is reported under
-    `names`.
+    `instance.names`.
     """
-    blocks = chain_blocks(instance.g, instance.h, names)
+    blocks = chain_blocks(instance.g, instance.h, instance.names)
     sigma2 = _fresh_alphabet(len(blocks), instance.mode)
     g_prime = Morphism._trusted(sigma2, instance.sigma, tuple(b.u for b in blocks))
     h_prime = Morphism._trusted(sigma2, instance.sigma, tuple(b.v for b in blocks))
@@ -501,7 +498,7 @@ def reduce_to_basis(
     letters = [
         Letter(i, 1) for i in range(len(cur.sigma)) if cur.g.images[i] == cur.h.images[i]
     ]
-    domain = Alphabet(tuple(cur.sigma.symbols[l.index] for l in letters), instance.mode)
+    domain = _alphabet(tuple([cur.sigma.symbols[l.index] for l in letters]), instance.mode)
     images = []
     for l in letters:
         w = Word._trusted(cur.sigma, (l,))

@@ -43,9 +43,9 @@ def reduce_instance(instance: Instance) -> ReductionStep:
     """Replace the pair by the pair of block maps, with fresh generators
     p0, p1, ... in block order.
 
-    A map that is not marked raises `require_marked`'s error for "g" or
-    "h", found by the walk's first-letter index rather than a separate
-    check."""
+    A map that is not marked raises `require_marked`'s error under its
+    name in `instance.names`, found by the walk's first-letter index rather
+    than a separate check."""
     if instance.mode != MONOID:
         raise ValueError("monoid reduction needs a monoid-mode instance")
     return reduce_step(instance, is_marked, "block maps must be marked")

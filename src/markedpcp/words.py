@@ -112,6 +112,16 @@ class Alphabet:
         return out
 
 
+@functools.lru_cache(maxsize=256)
+def _alphabet(symbols: tuple[str, ...], mode: str) -> Alphabet:
+    """The one shared alphabet of `symbols` in `mode`, built on first use,
+    so that every parsed file, solve and word over the same symbols shares
+    its position and letter tables.  Bounded: past 256 alphabets the least
+    recently used one is dropped.  Parsing and solving build their
+    alphabets here; `Alphabet(...)` itself always builds a new one."""
+    return Alphabet(symbols, mode)
+
+
 @dataclass(frozen=True)
 class Word:
     """A word over one alphabet; freely reduced by construction in group mode."""

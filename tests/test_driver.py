@@ -306,8 +306,7 @@ class TestPreconditionParity:
             sigma, delta = _alphabets(mode, rng.randint(2, 3), 3)
             g, h = BAD_PAIRS[kind](rng, sigma, delta)
             inst = Instance(g, h, ("f", "k"))
-            # `reduce_instance` has always named the monoid maps g and h
-            reduce_names = inst.names if mode == GROUP else ("g", "h")
+            reduce_names = inst.names
             expected = {
                 "reduce": _first_failure(require, zip((g, h), reduce_names)),
                 "solve_pair": _first_failure(require, zip((g, h), inst.names)),

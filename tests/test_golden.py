@@ -40,3 +40,12 @@ def test_precondition_error(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.encode() == (GOLDEN / "unimmersed_pair_stderr.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["reduce", "solve"])
+def test_monoid_precondition_error_names_the_map(command, capsys):
+    # the maps are f and k, so a reduce that named them g and h would differ
+    assert run([command, str(FIXTURES / "unmarked_pair.pcp")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.encode() == (GOLDEN / "unmarked_pair_stderr.txt").read_bytes()

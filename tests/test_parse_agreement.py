@@ -185,6 +185,61 @@ def test_seeded_mutations_agree_and_hit_every_error():
     assert accepted >= 100
 
 
+PAIR = """mode monoid
+sigma a b
+delta x y
+map g
+a = x y
+b = y
+map h
+a = x
+b = y y
+"""
+
+
+def _edit(old: str, new: str, text: str = PAIR) -> str:
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+# one text per error kind, each made to raise that kind
+BY_KIND = {
+    "empty file": "# nothing but a comment\n",
+    "expected 'mode'": _edit("mode monoid\n", ""),
+    "expected 'sigma'": _edit("sigma a b\n", ""),
+    "expected 'delta'": _edit("delta x y\n", ""),
+    "expected 'map'": _edit("map g\n", ""),
+    "mode must": _edit("mode monoid", "mode free"),
+    "missing 'sigma'": "mode monoid\n",
+    "missing 'delta'": "mode monoid\nsigma a b\n",
+    "malformed symbol": _edit("sigma a b", "sigma a 1b"),
+    "reserved": _edit("delta x y", "delta x eps"),
+    "duplicate symbol": _edit("sigma a b", "sigma a b a"),
+    "map name": _edit("map h", "map h k"),
+    "duplicate map": PAIR + "map g\na = x\nb = y\n",
+    "unknown generator": _edit("b = y y", "c = y y"),
+    "duplicate mapping": _edit("b = y\n", "b = y\nb = y\n"),
+    "expected '='": _edit("b = y y", "b y y"),
+    "missing image": _edit("b = y y", "b ="),
+    "missing generator": _edit("b = y y\n", ""),
+    "no map blocks": "mode monoid\nsigma a b\ndelta x y\n",
+    "eps": _edit("a = x y", "a = x eps"),
+    "inverse": _edit("a = x y", "a = x y^-1"),
+    "malformed letter": _edit("a = x y", "a = x y-"),
+    "unknown letter": _edit("a = x y", "a = x z"),
+    "unreduced": _edit("mode monoid", "mode group", _edit("a = x y", "a = x y y^-1")),
+}
+
+
+def test_every_error_kind_by_construction():
+    assert set(BY_KIND) == set(KINDS)
+    assert not isinstance(_agree(PAIR), tuple)  # the unedited text parses
+    for kind, text in BY_KIND.items():
+        got = _agree(text)
+        assert isinstance(got, tuple), kind
+        assert _kind(got[2]) == kind, (kind, got)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from(BASES))
 def test_mutations_agree(rng, base):
