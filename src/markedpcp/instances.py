@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .morphisms import Morphism, apply, compose, require_immersion, require_marked
+from .morphisms import Morphism, apply, require_immersion, require_marked
 from .words import GROUP, Alphabet, Letter, Word, _alphabet
 
 if TYPE_CHECKING:
@@ -44,6 +44,17 @@ class Instance:
             raise ValueError("instance morphisms must share a domain")
         if self.g.codomain != self.h.codomain:
             raise ValueError("instance morphisms must share a codomain")
+
+    @classmethod
+    def _trusted(cls, g: Morphism, h: Morphism) -> "Instance":
+        """A pair named g and h that the caller has built correctly: the
+        maps share their domain and codomain.  Nothing is checked, so this
+        is for solver-internal values only."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "g", g)
+        object.__setattr__(inst, "h", h)
+        object.__setattr__(inst, "names", ("g", "h"))
+        return inst
 
     @property
     def sigma(self) -> Alphabet:
@@ -103,6 +114,15 @@ class Block:
     u: Word
     v: Word
 
+    @classmethod
+    def _trusted(cls, letter: Letter, u: Word, v: Word) -> "Block":
+        """A block the caller has read off a chain.  Nothing is checked."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "letter", letter)
+        object.__setattr__(b, "u", u)
+        object.__setattr__(b, "v", v)
+        return b
+
 
 @dataclass(frozen=True)
 class ReductionStep:
@@ -117,9 +137,13 @@ class ReductionStep:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        k1 = compose(self.before.g, self.g_prime)
-        k2 = compose(self.before.h, self.h_prime)
-        if k1 != k2:
+        # g g' = h h' generator by generator: g(u) = h(v) for the images
+        # u, v of each new generator, compared as letters
+        g, h, g_prime, h_prime = self.before.g, self.before.h, self.g_prime, self.h_prime
+        pairs = zip(g_prime.images, h_prime.images)
+        if g_prime.domain != h_prime.domain or any(
+            apply(g, u).letters != apply(h, v).letters for u, v in pairs
+        ):
             raise AssertionError("reduction step is inconsistent: g g' != h h'")
 
     @functools.cached_property
@@ -152,6 +176,20 @@ class EqualiserResult:
         if self.basis != self.embedding.images:
             raise ValueError("basis must list the embedding's generator images")
 
+    @classmethod
+    def _trusted(
+        cls, embedding: Morphism, trail: tuple[ReductionStep, ...], case: str
+    ) -> "EqualiserResult":
+        """The result of a solve, with the embedding's images as its basis
+        and `case` one of `TERMINATION_CASES`.  Nothing is checked, so this
+        is for solver-internal values only."""
+        res = object.__new__(cls)
+        object.__setattr__(res, "embedding", embedding)
+        object.__setattr__(res, "basis", embedding.images)
+        object.__setattr__(res, "trail", trail)
+        object.__setattr__(res, "case", case)
+        return res
+
 
 def canonical_form(instance: Instance) -> tuple:
     """Structural key for cycle detection: generator names erased on both
@@ -172,14 +210,14 @@ def canonical_form(instance: Instance) -> tuple:
 
 def _shape(instance: Instance) -> tuple:
     """What every instance with one canonical form shares: the mode, both
-    alphabet sizes and the image lengths.  O(|Sigma|), where
-    `canonical_form` is O(total image length)."""
+    alphabet sizes and the image lengths, g's and then h's.  O(|Sigma|),
+    where `canonical_form` is O(total image length)."""
+    g = instance.g
     return (
-        instance.mode,
-        len(instance.sigma),
-        len(instance.delta),
-        tuple([len(img.letters) for img in instance.g.images]),
-        tuple([len(img.letters) for img in instance.h.images]),
+        g.domain.mode,
+        len(g.domain.symbols),
+        len(g.codomain.symbols),
+        tuple([len(img.letters) for img in g.images + instance.h.images]),
     )
 
 
@@ -225,28 +263,15 @@ def _bound_base(instance: Instance) -> int:
     return len(instance.delta) + 1
 
 
-def _trail_exceeds_bound(instance: Instance, steps: int) -> bool:
-    """Is a trail of `steps` reductions from `instance` longer than its
-    iteration bound?
-
-    The bound at prefix complexity zero is a floor of the bound and costs
-    nothing, so the prefix complexity is only counted once a trail outgrows
-    the floor.
-    """
-    if steps <= _bound_base(instance) ** (2 * len(instance.sigma)):
-        return False
-    return steps > iteration_bound(instance)
-
-
-def _terminal_case(instance: Instance) -> str | None:
-    if len(instance.sigma) == 0:
+def _terminal_case(shape: tuple) -> str | None:
+    """The solved shape an instance of this `_shape` has, if any."""
+    _, size, _, lengths = shape
+    if size == 0:
         return CASE_EMPTY
-    if len(instance.sigma) == 1:
+    if size == 1:
         return CASE_SINGLE
     # for marked maps and immersions this is exactly prefix complexity zero
-    if all(len(w) == 1 for w in instance.g.images) and all(
-        len(w) == 1 for w in instance.h.images
-    ):
+    if lengths.count(1) == len(lengths):
         return CASE_LENGTH_ONE
     return None
 
@@ -284,12 +309,12 @@ def agreeing_chains(
     raised for the first of them, under its name in `names`.
     """
     codomain = g.codomain
-    if g.mode == GROUP:
+    if codomain.mode == GROUP:
         inverse = codomain._inverse_letters
         starts: Iterable[Letter] = inverse  # keys in `Letter.sort_key` order
     else:
         inverse = None
-        starts = codomain.positive_letters()
+        starts = codomain._positive_letters
     g_index, h_index = _signed_images(g, inverse), _signed_images(h, inverse)
     if g_index is None or h_index is None:
         _name_the_clash(g, h, names)
@@ -364,13 +389,13 @@ def _signed_images(
     are signed images: exactly when `morphisms._first_letter_clash` finds a
     clash, that is, when f is not marked (not an immersion).
     """
-    letters = [Letter(i, 1) for i in range(len(f.images))]
-    runs = {x: img.letters for x, img in zip(letters, f.images)}
+    images = f.images
+    runs = {x: img.letters for x, img in zip(f.domain._positive_letters, images)}
     try:
-        firsts = {img.letters[0]: x for x, img in zip(letters, f.images)}
+        firsts = {img.letters[0]: x for x, img in zip(f.domain._positive_letters, images)}
         if inverse is not None:
             firsts.update(
-                {inverse[img.letters[-1]]: Letter(x.index, -1) for x, img in zip(letters, f.images)}
+                {inverse[img.letters[-1]]: x for x, img in zip(f.domain._negative_letters, images)}
             )
     except IndexError:  # an empty image
         return None
@@ -402,14 +427,20 @@ def chain_blocks(
     g: Morphism, h: Morphism, names: tuple[str, str] = ("g", "h")
 ) -> tuple[Block, ...]:
     """The chains of the pair as blocks, each named by its label's first letter."""
-    return tuple(Block(label[0], u, v) for label, u, v in agreeing_chains(g, h, names))
+    return tuple([Block._trusted(label[0], u, v) for label, u, v in agreeing_chains(g, h, names)])
+
+
+@functools.lru_cache(maxsize=256)
+def _fresh_names(size: int) -> tuple[str, ...]:
+    """The symbols p0, ..., p{size-1}, built once per size."""
+    return tuple([f"p{i}" for i in range(size)])
 
 
 def _fresh_alphabet(size: int, mode: str) -> Alphabet:
     """The alphabet p0, ..., p{size-1}, from the shared cache of
-    `words._alphabet`, so that its table of inverse letters is shared by
-    every step and solve."""
-    return _alphabet(tuple([f"p{i}" for i in range(size)]), mode)
+    `words._alphabet`, so that its letter tables are shared by every step
+    and solve."""
+    return _alphabet(_fresh_names(size), mode)
 
 
 def reduce_step(
@@ -425,15 +456,16 @@ def reduce_step(
     the marking of the pair (`agreeing_chains`); a clash is reported under
     `instance.names`.
     """
+    sigma = instance.g.domain
     blocks = chain_blocks(instance.g, instance.h, instance.names)
-    sigma2 = _fresh_alphabet(len(blocks), instance.mode)
-    g_prime = Morphism._trusted(sigma2, instance.sigma, tuple(b.u for b in blocks))
-    h_prime = Morphism._trusted(sigma2, instance.sigma, tuple(b.v for b in blocks))
+    sigma2 = _fresh_alphabet(len(blocks), sigma.mode)
+    g_prime = Morphism._trusted(sigma2, sigma, tuple([b.u for b in blocks]))
+    h_prime = Morphism._trusted(sigma2, sigma, tuple([b.v for b in blocks]))
     if not (embeds(g_prime) and embeds(h_prime)):
         raise AssertionError(message)
-    if len(sigma2) > len(instance.sigma):
+    if len(sigma2.symbols) > len(sigma.symbols):
         raise AssertionError("reduction cannot grow the alphabet")
-    return ReductionStep(instance, Instance(g_prime, h_prime), g_prime, h_prime, blocks)
+    return ReductionStep(instance, Instance._trusted(g_prime, h_prime), g_prime, h_prime, blocks)
 
 
 def intersect(
@@ -445,7 +477,7 @@ def intersect(
     for label, u, v in chains:
         if not apply(psi1, u).letters == label == apply(psi2, v).letters:
             raise AssertionError("intersection maps disagree")
-    domain = _fresh_alphabet(len(chains), psi1.mode)
+    domain = _fresh_alphabet(len(chains), psi1.domain.mode)
     images = tuple(Word._trusted(psi1.codomain, label) for label, _, _ in chains)
     k = Morphism._trusted(domain, psi1.codomain, images)
     if not embeds(k):
@@ -473,11 +505,15 @@ def reduce_to_basis(
     trail: list[ReductionStep] = []
     # shape -> (instances of that shape not keyed yet, canonical forms)
     by_shape: dict[tuple, tuple[list[Instance], set[tuple]]] = {}
+    # The bound at prefix complexity zero is a floor of `iteration_bound`
+    # and costs nothing, so the prefix complexity is only counted once a
+    # trail outgrows the floor.
+    floor = _bound_base(instance) ** (2 * len(instance.sigma))
     while True:
-        case = _terminal_case(cur)
+        shape = _shape(cur)
+        case = _terminal_case(shape)
         if case is not None:
             break
-        shape = _shape(cur)
         if shape not in by_shape:
             by_shape[shape] = ([cur], set())
         else:
@@ -492,28 +528,32 @@ def reduce_to_basis(
         step = reduce(cur)
         trail.append(step)
         cur = step.after
-        if _trail_exceeds_bound(instance, len(trail)):
+        if len(trail) > floor and len(trail) > iteration_bound(instance):
             raise AssertionError("iteration bound exceeded: reduction did not cycle")
 
+    g, h = instance.g, instance.h
+    final = cur.g.domain
     letters = [
-        Letter(i, 1) for i in range(len(cur.sigma)) if cur.g.images[i] == cur.h.images[i]
+        l
+        for l, u, v in zip(final._positive_letters, cur.g.images, cur.h.images)
+        if u.letters == v.letters
     ]
-    domain = _alphabet(tuple([cur.sigma.symbols[l.index] for l in letters]), instance.mode)
+    domain = _alphabet(tuple([final.symbols[l.index] for l in letters]), final.mode)
     images = []
     for l in letters:
-        w = Word._trusted(cur.sigma, (l,))
+        w = Word._trusted(final, (l,))
         for step in reversed(trail):
             w = apply(step.g_prime, w)
         images.append(w)
-    embedding = Morphism._trusted(domain, instance.sigma, tuple(images))
+    embedding = Morphism._trusted(domain, g.domain, tuple(images))
     if not embeds(embedding):
         raise AssertionError("equaliser embedding fails its marked / immersion check")
-    if len(images) > len(instance.sigma):
+    if len(images) > len(g.domain.symbols):
         raise AssertionError("rank bound violated")
     for w in images:
-        if apply(instance.g, w) != apply(instance.h, w):
+        if apply(g, w).letters != apply(h, w).letters:
             raise AssertionError("basis word is not a solution")
-    return EqualiserResult(embedding, embedding.images, tuple(trail), case)
+    return EqualiserResult._trusted(embedding, tuple(trail), case)
 
 
 def solve_family(
@@ -551,4 +591,4 @@ def solve_family(
         if not all(apply(f, w) == first for f in morphisms[1:]):
             raise AssertionError("basis word is not a solution of the whole family")
     trail = tuple(step for res in pair_results for step in res.trail)
-    return EqualiserResult(psi, psi.images, trail, pair_results[0].case)
+    return EqualiserResult._trusted(psi, trail, pair_results[0].case)

@@ -77,7 +77,7 @@ def apply(f: Morphism, w: Word) -> Word:
     if w.alphabet != f.domain:
         raise ValueError("word does not lie over the morphism's domain")
     out: list[Letter] = []
-    if f.mode != GROUP:
+    if f.domain.mode != GROUP:
         for l in w.letters:
             out.extend(f.images[l.index].letters)
         return Word._trusted(f.codomain, tuple(out))
@@ -285,7 +285,10 @@ def greedy_decode(f: Morphism, w: Word) -> Word | None:
     """
     if w.alphabet != f.codomain:
         raise ValueError("word does not lie over the morphism's codomain")
-    require_marked(f)
+    if f.mode == GROUP:
+        require_immersion(f)
+    else:
+        require_marked(f)
     table: dict[Letter, tuple[Letter, tuple[Letter, ...]]] = {}
     for l in f.domain.signed_letters():
         img = f.image(l)

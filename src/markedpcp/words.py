@@ -70,6 +70,16 @@ class Alphabet:
             raise ValueError("alphabet symbols must be pairwise distinct")
         object.__setattr__(self, "_pos", pos)
 
+    def __eq__(self, other: object) -> bool:
+        # Interned alphabets are shared, so identity settles most
+        # comparisons; otherwise the fields decide, as the dataclass's
+        # generated `__eq__` would, and `__hash__` is still generated.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.symbols == other.symbols and self.mode == other.mode
+
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -95,21 +105,35 @@ class Alphabet:
         return table
 
     @functools.cached_property
+    def _positive_letters(self) -> tuple[Letter, ...]:
+        """`Letter(i, 1)` for every symbol, built on first use and shared by
+        every caller, so that solving builds no generator letters."""
+        return tuple([Letter(i, 1) for i in range(len(self.symbols))])
+
+    @functools.cached_property
+    def _negative_letters(self) -> tuple[Letter, ...]:
+        """`Letter(i, -1)` for every symbol, as `_positive_letters`."""
+        return tuple([Letter(i, -1) for i in range(len(self.symbols))])
+
+    @functools.cached_property
     def _inverse_letters(self) -> dict[Letter, Letter]:
         """Letter to its inverse, over both signs of every symbol, keyed in
         `Letter.sort_key` order.  Built on first use, so that inverting
         image letters builds no new `Letter`s."""
-        return {Letter(i, s): Letter(i, -s) for i in range(len(self.symbols)) for s in (1, -1)}
+        table = {}
+        for pos, neg in zip(self._positive_letters, self._negative_letters):
+            table[pos] = neg
+            table[neg] = pos
+        return table
 
     def positive_letters(self) -> list[Letter]:
-        return [Letter(i, 1) for i in range(len(self.symbols))]
+        return list(self._positive_letters)
 
     def signed_letters(self) -> list[Letter]:
         """All generator letters, including inverses in group mode."""
-        out = [Letter(i, 1) for i in range(len(self.symbols))]
         if self.mode == GROUP:
-            out += [Letter(i, -1) for i in range(len(self.symbols))]
-        return out
+            return [*self._positive_letters, *self._negative_letters]
+        return list(self._positive_letters)
 
 
 @functools.lru_cache(maxsize=256)

@@ -26,6 +26,7 @@ from markedpcp.instances import (
     Block,
     Instance,
     ReductionStep,
+    _shape,
     _terminal_case,
     canonical_form,
 )
@@ -438,7 +439,7 @@ def reference_reduce_to_basis(
     trail: list[ReductionStep] = []
     seen: set[tuple] = set()
     while True:
-        case = _terminal_case(cur)
+        case = _terminal_case(_shape(cur))
         if case is not None:
             break
         key = canonical_form(cur)

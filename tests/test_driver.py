@@ -365,3 +365,79 @@ class TestOneCheckPerMap:
             solver.solve_set(family, inst.sigma, inst.delta)
             assert checked == family
         assert longest >= 10
+
+
+def _rank_one_pairs():
+    """A monoid and a group pair with a non-empty trail and a basis of one
+    word, and each with a chain whose u and v differ."""
+    ms, md = Alphabet(("a", "b"), MONOID), Alphabet(("x", "y"), MONOID)
+    gs, gd = Alphabet(("a", "b", "c"), GROUP), Alphabet(("x", "y", "z"), GROUP)
+    return {
+        MONOID: Instance(morphism(ms, md, "x y", "y"), morphism(ms, md, "x", "y y")),
+        GROUP: Instance(
+            morphism(gs, gd, "y z", "x", "z y"), morphism(gs, gd, "x^-1 z", "x z^-1 y^-1", "z y")
+        ),
+    }
+
+
+def _swap_u_and_v(chains):
+    return [(label, v, u) for label, u, v in chains]
+
+
+def _repeat_the_first(chains):
+    return chains[:1] + chains
+
+
+class TestSelfChecksStillFire:
+    """Each self-check of a solve raises when what it checks is wrong, at
+    both entry points and in both modes, so none of them is skipped."""
+
+    @pytest.fixture(params=[GROUP, MONOID])
+    def pair(self, request):
+        inst = _rank_one_pairs()[request.param]
+        solver, _ = _solver(inst.mode)
+        result = solver.solve_pair(inst)
+        assert result.trail and len(result.basis) == 1
+        assert any(u != v for _, u, v in instances.agreeing_chains(inst.g, inst.h))
+        return inst
+
+    @staticmethod
+    def _solve(inst, entry):
+        solver, _ = _solver(inst.mode)
+        if entry == "solve_pair":
+            return solver.solve_pair(inst)
+        return solver.solve_set([inst.g, inst.h], inst.sigma, inst.delta)
+
+    @pytest.mark.parametrize("entry", ["solve_pair", "solve_set"])
+    @pytest.mark.parametrize("corrupt", [_swap_u_and_v, _repeat_the_first])
+    def test_a_wrong_chain_walk_is_caught(self, pair, entry, corrupt, monkeypatch):
+        walk = instances.agreeing_chains
+        monkeypatch.setattr(instances, "agreeing_chains", lambda *args: corrupt(walk(*args)))
+        with pytest.raises(AssertionError) as caught:
+            self._solve(pair, entry)
+        if corrupt is _swap_u_and_v:
+            assert str(caught.value) == "reduction step is inconsistent: g g' != h h'"
+        elif pair.mode == GROUP:
+            assert str(caught.value) == "petal maps must be immersions"
+        else:
+            assert str(caught.value) == "block maps must be marked"
+
+    @pytest.mark.parametrize("entry", ["solve_pair", "solve_set"])
+    def test_a_wrong_embedding_is_caught(self, pair, entry, monkeypatch):
+        # A wrong walk alone cannot reach this check: the step checks catch
+        # it first, and a composite of marked maps is marked.  So each
+        # step's g' is emptied after the step's own checks have passed.
+        solver, _ = _solver(pair.mode)
+        reduce_step = solver.reduce_step
+
+        def emptied(*args):
+            step = reduce_step(*args)
+            g_prime = step.g_prime
+            empty = (Word(g_prime.codomain, ()),) * len(g_prime.images)
+            object.__setattr__(step, "g_prime", Morphism(g_prime.domain, g_prime.codomain, empty))
+            return step
+
+        monkeypatch.setattr(solver, "reduce_step", emptied)
+        message = "equaliser embedding fails its marked / immersion check"
+        with pytest.raises(AssertionError, match=message):
+            self._solve(pair, entry)

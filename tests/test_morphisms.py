@@ -256,6 +256,18 @@ class TestGreedyDecode:
         with pytest.raises(NotMarkedError):
             greedy_decode(morphism(SM, DM, "x", "x x"), parse_word(DM, "x"))
 
+    def test_precondition_is_named_per_mode(self, unfoldable_map):
+        with pytest.raises(
+            NotMarkedError,
+            match=r"^morphism is not marked: images of a and b share a first letter$",
+        ):
+            greedy_decode(morphism(SM, DM, "x", "x x"), parse_word(DM, "x"))
+        with pytest.raises(
+            NotMarkedError,
+            match=r"^morphism is not an immersion: images of a and b\^-1 share a first letter$",
+        ):
+            greedy_decode(unfoldable_map, parse_word(unfoldable_map.codomain, "y"))
+
 
 def _reference_clash(f):
     """The marking check's naming walk, kept here as the reference: the

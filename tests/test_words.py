@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -5,12 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from markedpcp.fileformat import ParseError, parse
+from markedpcp.morphisms import apply, compose
 from markedpcp.words import (
     GROUP,
     MONOID,
     Alphabet,
     Letter,
     Word,
+    _alphabet,
     ball,
     concat,
     format_word,
@@ -21,7 +24,7 @@ from markedpcp.words import (
     proper_prefixes,
 )
 
-from support import empty_word
+from support import empty_word, morphism
 
 GA = Alphabet(("x", "y", "z"), GROUP)
 MA = Alphabet(("x", "y"), MONOID)
@@ -51,6 +54,51 @@ class TestAlphabet:
 
     def test_signed_letters_monoid_has_no_inverses(self):
         assert all(l.sign == 1 for l in MA.signed_letters())
+
+    def test_equality_and_hash(self):
+        a, b = Alphabet(("x", "y"), GROUP), Alphabet(("x", "y"), GROUP)
+        assert a is not b
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a == _alphabet(("x", "y"), GROUP) and hash(a) == hash(_alphabet(("x", "y"), GROUP))
+        for other in (
+            Alphabet(("x", "y"), MONOID),
+            Alphabet(("y", "x"), GROUP),
+            Alphabet(("x",), GROUP),
+        ):
+            assert a != other and not a == other
+        for other in (("x", "y"), ("x", "y", GROUP), "x y", None):
+            assert (a == other) is False and (a != other) is True
+
+    @pytest.mark.parametrize("alphabet", [GA, MA, _alphabet(("x", "y"), GROUP)])
+    def test_letter_lists_are_fresh(self, alphabet):
+        positive = [Letter(i, 1) for i in range(len(alphabet))]
+        negative = [Letter(i, -1) for i in range(len(alphabet))]
+        signed = positive + negative if alphabet.mode == GROUP else positive
+        for letters, expected in (
+            (alphabet.positive_letters, positive),
+            (alphabet.signed_letters, signed),
+        ):
+            first = letters()
+            assert first == expected
+            first.append(Letter(0, 1))
+            first[0] = Letter(len(alphabet), 1)
+            assert letters() == expected and letters() is not letters()
+        assert alphabet._positive_letters == tuple(positive)
+        assert alphabet._negative_letters == tuple(negative)
+
+    def test_replace_on_words_and_morphisms(self):
+        w = gw("x y")
+        built = apply(morphism(GA, GA, "x", "y", "z"), w)  # built by the solver's trusted path
+        for word in (w, built):
+            assert dataclasses.replace(word, letters=(Letter(2, 1),)) == gw("z")
+            with pytest.raises(ValueError, match="not freely reduced"):
+                dataclasses.replace(word, letters=(Letter(0, 1), Letter(0, -1)))
+        f = morphism(GA, GA, "x y", "z", "y^-1")
+        for g in (f, compose(f, f)):
+            images = (gw("x"), gw("y"), gw("z"))
+            assert dataclasses.replace(g, images=images).images == images
+            with pytest.raises(ValueError, match="expected 3 images"):
+                dataclasses.replace(g, images=(gw("x"),))
 
 
 class TestWordConstruction:
