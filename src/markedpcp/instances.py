@@ -45,17 +45,6 @@ class Instance:
         if self.g.codomain != self.h.codomain:
             raise ValueError("instance morphisms must share a codomain")
 
-    @classmethod
-    def _trusted(cls, g: Morphism, h: Morphism) -> "Instance":
-        """A pair named g and h that the caller has built correctly: the
-        maps share their domain and codomain.  Nothing is checked, so this
-        is for solver-internal values only."""
-        inst = object.__new__(cls)
-        object.__setattr__(inst, "g", g)
-        object.__setattr__(inst, "h", h)
-        object.__setattr__(inst, "names", ("g", "h"))
-        return inst
-
     @property
     def sigma(self) -> Alphabet:
         return self.g.domain
@@ -114,15 +103,6 @@ class Block:
     u: Word
     v: Word
 
-    @classmethod
-    def _trusted(cls, letter: Letter, u: Word, v: Word) -> "Block":
-        """A block the caller has read off a chain.  Nothing is checked."""
-        b = object.__new__(cls)
-        object.__setattr__(b, "letter", letter)
-        object.__setattr__(b, "u", u)
-        object.__setattr__(b, "v", v)
-        return b
-
 
 @dataclass(frozen=True)
 class ReductionStep:
@@ -140,6 +120,8 @@ class ReductionStep:
         # g g' = h h' generator by generator: g(u) = h(v) for the images
         # u, v of each new generator, compared as letters
         g, h, g_prime, h_prime = self.before.g, self.before.h, self.g_prime, self.h_prime
+        if g_prime.codomain != g.domain or h_prime.codomain != h.domain:
+            raise ValueError("codomain of the inner morphism must equal the outer domain")
         pairs = zip(g_prime.images, h_prime.images)
         if g_prime.domain != h_prime.domain or any(
             apply(g, u).letters != apply(h, v).letters for u, v in pairs
@@ -175,20 +157,6 @@ class EqualiserResult:
             raise ValueError(f"unknown termination case {self.case!r}")
         if self.basis != self.embedding.images:
             raise ValueError("basis must list the embedding's generator images")
-
-    @classmethod
-    def _trusted(
-        cls, embedding: Morphism, trail: tuple[ReductionStep, ...], case: str
-    ) -> "EqualiserResult":
-        """The result of a solve, with the embedding's images as its basis
-        and `case` one of `TERMINATION_CASES`.  Nothing is checked, so this
-        is for solver-internal values only."""
-        res = object.__new__(cls)
-        object.__setattr__(res, "embedding", embedding)
-        object.__setattr__(res, "basis", embedding.images)
-        object.__setattr__(res, "trail", trail)
-        object.__setattr__(res, "case", case)
-        return res
 
 
 def canonical_form(instance: Instance) -> tuple:
@@ -427,20 +395,14 @@ def chain_blocks(
     g: Morphism, h: Morphism, names: tuple[str, str] = ("g", "h")
 ) -> tuple[Block, ...]:
     """The chains of the pair as blocks, each named by its label's first letter."""
-    return tuple([Block._trusted(label[0], u, v) for label, u, v in agreeing_chains(g, h, names)])
-
-
-@functools.lru_cache(maxsize=256)
-def _fresh_names(size: int) -> tuple[str, ...]:
-    """The symbols p0, ..., p{size-1}, built once per size."""
-    return tuple([f"p{i}" for i in range(size)])
+    return tuple([Block(label[0], u, v) for label, u, v in agreeing_chains(g, h, names)])
 
 
 def _fresh_alphabet(size: int, mode: str) -> Alphabet:
     """The alphabet p0, ..., p{size-1}, from the shared cache of
     `words._alphabet`, so that its letter tables are shared by every step
     and solve."""
-    return _alphabet(_fresh_names(size), mode)
+    return _alphabet(tuple([f"p{i}" for i in range(size)]), mode)
 
 
 def reduce_step(
@@ -465,7 +427,7 @@ def reduce_step(
         raise AssertionError(message)
     if len(sigma2.symbols) > len(sigma.symbols):
         raise AssertionError("reduction cannot grow the alphabet")
-    return ReductionStep(instance, Instance._trusted(g_prime, h_prime), g_prime, h_prime, blocks)
+    return ReductionStep(instance, Instance(g_prime, h_prime), g_prime, h_prime, blocks)
 
 
 def intersect(
@@ -477,7 +439,7 @@ def intersect(
     for label, u, v in chains:
         if not apply(psi1, u).letters == label == apply(psi2, v).letters:
             raise AssertionError("intersection maps disagree")
-    domain = _fresh_alphabet(len(chains), psi1.domain.mode)
+    domain = _fresh_alphabet(len(chains), psi1.mode)
     images = tuple(Word._trusted(psi1.codomain, label) for label, _, _ in chains)
     k = Morphism._trusted(domain, psi1.codomain, images)
     if not embeds(k):
@@ -531,29 +493,24 @@ def reduce_to_basis(
         if len(trail) > floor and len(trail) > iteration_bound(instance):
             raise AssertionError("iteration bound exceeded: reduction did not cycle")
 
-    g, h = instance.g, instance.h
-    final = cur.g.domain
-    letters = [
-        l
-        for l, u, v in zip(final._positive_letters, cur.g.images, cur.h.images)
-        if u.letters == v.letters
-    ]
-    domain = _alphabet(tuple([final.symbols[l.index] for l in letters]), final.mode)
+    sigma = cur.sigma
+    letters = [l for l, u, v in zip(sigma._positive_letters, cur.g.images, cur.h.images) if u == v]
+    domain = _alphabet(tuple([sigma.symbols[l.index] for l in letters]), instance.mode)
     images = []
     for l in letters:
-        w = Word._trusted(final, (l,))
+        w = Word._trusted(sigma, (l,))
         for step in reversed(trail):
             w = apply(step.g_prime, w)
         images.append(w)
-    embedding = Morphism._trusted(domain, g.domain, tuple(images))
+    embedding = Morphism._trusted(domain, instance.sigma, tuple(images))
     if not embeds(embedding):
         raise AssertionError("equaliser embedding fails its marked / immersion check")
-    if len(images) > len(g.domain.symbols):
+    if len(images) > len(instance.sigma):
         raise AssertionError("rank bound violated")
     for w in images:
-        if apply(g, w).letters != apply(h, w).letters:
+        if apply(instance.g, w) != apply(instance.h, w):
             raise AssertionError("basis word is not a solution")
-    return EqualiserResult._trusted(embedding, tuple(trail), case)
+    return EqualiserResult(embedding, embedding.images, tuple(trail), case)
 
 
 def solve_family(
@@ -591,4 +548,4 @@ def solve_family(
         if not all(apply(f, w) == first for f in morphisms[1:]):
             raise AssertionError("basis word is not a solution of the whole family")
     trail = tuple(step for res in pair_results for step in res.trail)
-    return EqualiserResult._trusted(psi, trail, pair_results[0].case)
+    return EqualiserResult(psi, psi.images, trail, pair_results[0].case)

@@ -77,7 +77,7 @@ def apply(f: Morphism, w: Word) -> Word:
     if w.alphabet != f.domain:
         raise ValueError("word does not lie over the morphism's domain")
     out: list[Letter] = []
-    if f.domain.mode != GROUP:
+    if f.mode != GROUP:
         for l in w.letters:
             out.extend(f.images[l.index].letters)
         return Word._trusted(f.codomain, tuple(out))

@@ -4,7 +4,7 @@ import pytest
 
 from markedpcp import monoid
 from markedpcp.instances import CASE_CYCLE, CASE_SINGLE, Instance, ReductionStep, canonical_form
-from markedpcp.morphisms import NotMarkedError, apply, greedy_decode, identity
+from markedpcp.morphisms import Morphism, NotMarkedError, apply, greedy_decode, identity
 from markedpcp.oracle import BallSpec, enumerate_equaliser, image_ball
 from markedpcp.words import MONOID, Alphabet, Letter, parse_word
 
@@ -74,6 +74,16 @@ class TestReduceInstance:
         step = monoid.reduce_instance(marked_pair)
         with pytest.raises(AssertionError):
             ReductionStep(step.before, step.after, step.g_prime, step.g_prime, step.blocks)
+
+    def test_step_codomains_are_checked_without_generators(self):
+        # a step with no new generators applies nothing, so only the
+        # codomain check can catch a g' or h' over the wrong alphabet
+        one = Alphabet(("a",), MONOID)
+        step = monoid.reduce_instance(Instance(morphism(one, DM, "x"), morphism(one, DM, "y")))
+        wrong = Morphism(step.g_prime.domain, SM, ())
+        for g_prime, h_prime in ((wrong, step.h_prime), (step.g_prime, wrong)):
+            with pytest.raises(ValueError, match="codomain of the inner morphism"):
+                ReductionStep(step.before, step.after, g_prime, h_prime, step.blocks)
 
 
 class TestSolvePair:
