@@ -36,6 +36,8 @@ def _solver(mode: str):
 
 
 def _solve(problem: Instance | SetInstance, force_set: bool) -> EqualiserResult:
+    if len(problem.morphisms) < 2:
+        raise ValueError("solve needs a file with at least two maps")
     solver = _solver(problem.mode)
     if isinstance(problem, Instance) and not force_set:
         return solver.solve_pair(problem)

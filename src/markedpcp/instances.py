@@ -6,9 +6,11 @@ reaches a solved shape or repeats, read the basis off the final pair, and
 pull it back through the trail; a family is solved pair by pair and the
 images are intersected.  Both modes reduce and intersect through one walk,
 `agreeing_chains`; only the mode and precondition checks and the marked /
-immersion self-checks differ, and the solvers pass them in.  The walk's
-first-letter index is the step precondition: the named marking /
-immersion check runs only when that index finds a clash.
+immersion self-checks differ, and the solvers pass them in.  The signed
+images f(x) and f(x^-1) are spelt out in `morphisms` only: the walk indexes
+`first_letters` and reads its inverse runs off `inverse_image`.  That index
+is the step precondition: the named marking / immersion check runs only
+when it finds a clash.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .morphisms import Morphism, apply, require_immersion, require_marked
+from .morphisms import Morphism, apply, first_letters, inverse_image
+from .morphisms import require_immersion, require_marked
 from .words import GROUP, Alphabet, Letter, Word, _alphabet
 
 if TYPE_CHECKING:
@@ -200,7 +203,7 @@ def prefix_complexity(instance: Instance) -> int:
     def side(f: Morphism) -> int:
         words = [img.letters for img in f.images]
         if f.mode == GROUP:
-            words += [tuple(l.inverse() for l in reversed(w)) for w in words]
+            words += [inverse_image(f, i) for i in range(len(words))]
         # one trie node per distinct prefix, keyed by (parent node, letter)
         nodes: dict[tuple[int, Letter], int] = {}
         for w in words:
@@ -283,19 +286,17 @@ def agreeing_chains(
     else:
         inverse = None
         starts = codomain._positive_letters
-    g_index, h_index = _signed_images(g, inverse), _signed_images(h, inverse)
-    if g_index is None or h_index is None:
-        _name_the_clash(g, h, names)
-    g_firsts, g_runs = g_index
-    h_firsts, h_runs = h_index
-    firsts, runs, images = (g_firsts, h_firsts), (g_runs, h_runs), (g.images, h.images)
-
-    def inverse_run(side: int, x: Letter) -> tuple[Letter, ...]:
-        # through a list, which sizes the tuple: a tuple grown from the bare
-        # map is resized as it fills, and that raised peak RSS run over run
-        r = tuple([*map(inverse.__getitem__, reversed(images[side][x.index].letters))])
-        runs[side][x] = r
-        return r
+    # per side: first letter -> signed generator, and signed generator ->
+    # the letters of its image, each image added when the walk first needs it
+    maps, firsts, runs = (g, h), [], ({}, {})
+    for f in maps:
+        fl = first_letters(f)
+        index = dict(zip(fl, f.domain.signed_letters()))
+        if None in index or len(index) < len(fl):
+            _name_the_clash(g, h, names)
+        firsts.append(index)
+    g_firsts, h_firsts = firsts
+    g_runs = runs[0]
 
     chains: list[Chain] = []
     for a in starts:
@@ -312,14 +313,14 @@ def agreeing_chains(
                 continue
         words: tuple[list[Letter], list[Letter]] = ([x], [])
         lead, last, off = 0, x, 0
-        lead_run = g_runs.get(x) or inverse_run(0, x)
+        lead_run = g_runs.get(x) or g_runs.setdefault(x, g.image(x).letters)
         seen: set[tuple[int, Letter, int]] = set()
         while True:
             lag = 1 - lead
             nxt = firsts[lag].get(lead_run[off])
             if nxt is None:
                 break
-            r = runs[lag].get(nxt) or inverse_run(lag, nxt)
+            r = runs[lag].get(nxt) or runs[lag].setdefault(nxt, maps[lag].image(nxt).letters)
             words[lag].append(nxt)
             over = len(lead_run) - off
             if len(r) < over:  # the lagging side stays behind
@@ -343,33 +344,6 @@ def agreeing_chains(
                 break
             seen.add((lead, last, off))
     return chains
-
-
-def _signed_images(
-    f: Morphism, inverse: dict[Letter, Letter] | None
-) -> tuple[dict[Letter, Letter], dict[Letter, tuple[Letter, ...]]] | None:
-    """First letter -> signed generator, and generator -> the letters of its
-    image.  With the codomain's table of inverse letters (group mode) the
-    first letters of the inverse images are included; the walk builds those
-    images when it needs them.
-
-    None when an image is empty or the index holds fewer letters than there
-    are signed images: exactly when `morphisms._first_letter_clash` finds a
-    clash, that is, when f is not marked (not an immersion).
-    """
-    images = f.images
-    runs = {x: img.letters for x, img in zip(f.domain._positive_letters, images)}
-    try:
-        firsts = {img.letters[0]: x for x, img in zip(f.domain._positive_letters, images)}
-        if inverse is not None:
-            firsts.update(
-                {inverse[img.letters[-1]]: x for x, img in zip(f.domain._negative_letters, images)}
-            )
-    except IndexError:  # an empty image
-        return None
-    if len(firsts) != (len(runs) if inverse is None else 2 * len(runs)):
-        return None
-    return firsts, runs
 
 
 def _name_the_clash(g: Morphism, h: Morphism, names: tuple[str, str]) -> None:

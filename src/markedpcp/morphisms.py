@@ -1,11 +1,14 @@
 """Generator-to-word tables: application, composition, and the marked and
-immersion predicates that make the solvers work."""
+immersion predicates that make the solvers work.  The signed images of a
+map, f(x) and in group mode f(x^-1), are spelt out here only, by
+`inverse_image` and `first_letters`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
-from .words import GROUP, Alphabet, Letter, Word, ball, format_letter, invert
+from .words import GROUP, Alphabet, Letter, Word, ball, format_letter
 
 
 class NotMarkedError(ValueError):
@@ -60,8 +63,33 @@ class Morphism:
 
     def image(self, l: Letter) -> Word:
         """Image of a single (possibly inverse) generator letter."""
-        img = self.images[l.index]
-        return img if l.sign > 0 else invert(img)
+        if l.sign > 0:
+            return self.images[l.index]
+        return Word._trusted(self.codomain, inverse_image(self, l.index))
+
+
+def inverse_image(f: Morphism, i: int) -> tuple[Letter, ...]:
+    """The letters of f(x^-1) for the generator x of index i: the inverses
+    of the letters of f(x), last first."""
+    # through a list, which sizes the tuple: a tuple grown from the bare
+    # map is resized as it fills, and that raised peak RSS run over run
+    return tuple([*map(f.codomain._inverse_letters.__getitem__, reversed(f.images[i].letters))])
+
+
+def first_letters(f: Morphism) -> list[Letter | None]:
+    """The first letter of each signed image, in `Alphabet.signed_letters`
+    order: f(x) for every generator x, then in group mode f(x^-1), which
+    starts with the inverse of the last letter of f(x).  None for an empty
+    image."""
+    firsts, lasts = [], []
+    for img in f.images:
+        # an empty image reads as (None,): None first, and None from `.get`
+        w = img.letters or (None,)
+        firsts.append(w[0])
+        lasts.append(w[-1])
+    if f.domain.mode == GROUP:
+        firsts += map(f.codomain._inverse_letters.get, lasts)
+    return firsts
 
 
 def identity(alphabet: Alphabet) -> Morphism:
@@ -81,13 +109,8 @@ def apply(f: Morphism, w: Word) -> Word:
         for l in w.letters:
             out.extend(f.images[l.index].letters)
         return Word._trusted(f.codomain, tuple(out))
-    inverse = None  # the codomain's letter-inverse table, fetched at the first x^-1
     for l in w.letters:
-        img = f.images[l.index].letters
-        if l.sign < 0:
-            if inverse is None:
-                inverse = f.codomain._inverse_letters
-            img = list(map(inverse.__getitem__, reversed(img)))
+        img = f.images[l.index].letters if l.sign > 0 else inverse_image(f, l.index)
         for x in img:
             # x cancels the last letter when it is that letter's inverse
             if out and out[-1].index == x.index and out[-1].sign != x.sign:
@@ -113,32 +136,20 @@ def _first_letter_clash(f: Morphism) -> tuple[str, str] | None:
     separate size test is needed.  A set of first letters decides marked
     maps; only a clash or an empty image walks the letters to name it.
     """
-    images = [img.letters for img in f.images]
-    if not images:
+    if not f.images:  # as a rank-0 step's maps are: nothing to compare
         return None
-    try:
-        firsts = {w[0] for w in images}
-        if f.domain.mode == GROUP:
-            # the inverse image starts with the inverse of the image's last letter
-            firsts.update(map(f.codomain._inverse_letters.__getitem__, [w[-1] for w in images]))
-            if len(firsts) == 2 * len(images):
-                return None
-        elif len(firsts) == len(images):
-            return None
-    except IndexError:  # an empty image
-        pass
-    return _name_clash(f)
+    firsts = first_letters(f)
+    if len(set(firsts)) == len(firsts) and None not in firsts:
+        return None
+    return _name_clash(f, firsts)
 
 
-def _name_clash(f: Morphism) -> tuple[str, str] | None:
-    """The first empty image or first-letter clash, in signed-letter order."""
+def _name_clash(f: Morphism, firsts: list[Letter | None]) -> tuple[str, str] | None:
+    """The first empty image or first-letter clash, given `first_letters(f)`."""
     seen: dict[Letter, Letter] = {}
-    for l in f.domain.signed_letters():
-        img = f.images[l.index]
-        if not img:
+    for l, first in zip(f.domain.signed_letters(), firsts):
+        if first is None:
             return (format_letter(f.domain, l), "")
-        # the inverse image starts with the inverse of the image's last letter
-        first = img.first if l.sign > 0 else img.last.inverse()
         if first in seen:
             return (format_letter(f.domain, seen[first]), format_letter(f.domain, l))
         seen[first] = l
@@ -181,30 +192,28 @@ def _junction(u: tuple[Letter, ...], v: tuple[Letter, ...]) -> int:
 
 
 def _immersion_by_lengths(f: Morphism) -> bool:
+    if not f.images:  # as a rank-0 step's maps are: no pairs to look at
+        return True
     # Empty images satisfy the length identity vacuously but are never
     # immersions (an immersion is injective), so guard them out; this keeps
     # the three characterisations in agreement.
-    images = [img.letters for img in f.images]
-    if not images:
-        return True
-    if not all(images):
+    firsts = first_letters(f)
+    if None in firsts:
         return False
     # Free reduction of f(x) f(y) only cancels at the junction, so
     # |f(xy)| = |f(x)| + |f(y)| - 2c exactly, with c the junction count of
     # the two reduced images, and the identity holds iff c = 0: f is applied
     # to no word xy.  A junction needs the last letter of f(x) to cancel the
-    # first of f(y), so only the images starting with that inverse letter
-    # are looked at.
-    inverse = f.codomain._inverse_letters
-    signed = images + [tuple([*map(inverse.__getitem__, reversed(w))]) for w in images]
-    k = len(images)
-    starting: dict[Letter, list[int]] = {}
-    for j, v in enumerate(signed):
-        starting.setdefault(v[0], []).append(j)
-    for i, u in enumerate(signed):
-        partner = (i + k) % (2 * k)  # f(x^-1) = f(x)^-1 always cancels
-        for j in starting.get(inverse[u[-1]], ()):
-            if j != partner and _junction(u, signed[j]):
+    # first of f(y), that is f(y) to start as f(x^-1) does, so only the
+    # pairs (x^-1, y) of signed images with one first letter are looked at;
+    # y = x^-1 is not, since f(x) f(x^-1) always cancels.
+    starting: dict[Letter, list[Letter]] = {}
+    for y, a in zip(f.domain.signed_letters(), firsts):
+        starting.setdefault(a, []).append(y)
+    inverse = f.domain._inverse_letters
+    for same_start in starting.values():
+        for x_inv, y in permutations(same_start, 2):
+            if _junction(f.image(inverse[x_inv]).letters, f.image(y).letters):
                 return False
     return True
 
@@ -289,10 +298,10 @@ def greedy_decode(f: Morphism, w: Word) -> Word | None:
         require_immersion(f)
     else:
         require_marked(f)
-    table: dict[Letter, tuple[Letter, tuple[Letter, ...]]] = {}
-    for l in f.domain.signed_letters():
-        img = f.image(l)
-        table[img.first] = (l, img.letters)
+    table = {
+        first: (l, f.image(l).letters)
+        for l, first in zip(f.domain.signed_letters(), first_letters(f))
+    }
     rest = w.letters
     out: list[Letter] = []
     while rest:

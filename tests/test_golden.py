@@ -1,9 +1,10 @@
 """CLI output pinned byte for byte on the fixtures: `solve` stdout, the
-`solve --trace` step files, `export-dot --graph core`, and the error that
-`reduce` and `solve` print for a pair whose first map is not an immersion.  The files under
-`fixtures/golden` were written when the group reduction still decoded the
-petals of the pair core graph, and the monoid one still ran the overhang
-search, so they hold the chain walk to the old output.
+`solve --trace` step files, `export-dot --graph core`, the error that
+`reduce` and `solve` print for a pair whose first map is not an immersion,
+and the one that `solve` and `oracle` print for a file of one map.  The
+files under `fixtures/golden` were written when the group reduction still
+decoded the petals of the pair core graph, and the monoid one still ran the
+overhang search, so they hold the chain walk to the old output.
 """
 
 import pytest
@@ -49,3 +50,12 @@ def test_monoid_precondition_error_names_the_map(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.encode() == (GOLDEN / "unmarked_pair_stderr.txt").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["oracle", "--radius", "2"]])
+def test_one_map_is_not_a_set_solve(argv, capsys):
+    # one map and no --set asked for, so the error must not name a set solve
+    assert run([argv[0], str(FIXTURES / "unfoldable_map.pcp"), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.encode() == (GOLDEN / "unfoldable_map_solve_stderr.txt").read_bytes()

@@ -333,6 +333,10 @@ class TestMarkingCheckAgreement:
             expected = _reference_clash(f)
             assert _first_letter_clash(f) == expected
             assert is_marked(f) == (expected is None)
+            if mode == GROUP:
+                # `image` reads `inverse_image`, not `invert`: the two must agree
+                for i, img in enumerate(f.images):
+                    assert f.image(Letter(i, -1)) == invert(img)
             if expected is None:
                 outcomes.append("marked")
             elif not expected[1]:
