@@ -219,6 +219,8 @@ def _immersion_by_lengths(f: Morphism) -> bool:
 
 
 def _immersion_by_folding(f: Morphism) -> bool:
+    if not f.images:  # the bouquet is the base vertex alone, which is folded
+        return True
     if any(not img for img in f.images):
         return False
     return stallings.is_folded_both_ways(stallings.bouquet(f))
@@ -241,7 +243,9 @@ def is_immersion(f: Morphism, method: str = "all") -> bool:
     `lengths` legs agree by construction: a junction of f(x) and f(y),
     y != x^-1, cancels exactly when two signed images share a first letter.
     So `all` cross-checks the `folded` leg against what is in effect one
-    first-letter test.
+    first-letter test.  A map with no generators is an immersion by all
+    three legs at once, with nothing built: its bouquet would be the base
+    vertex alone, which is folded.
     """
     if f.mode != GROUP:
         raise ValueError("immersions are a free-group notion; morphism is monoid-mode")

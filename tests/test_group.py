@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from markedpcp import group, instances, monoid, stallings
+from markedpcp import group, instances, monoid, morphisms, stallings
 from markedpcp.fileformat import parse
 from markedpcp.instances import CASE_CYCLE, CASE_SINGLE, Block, Instance
 from markedpcp.morphisms import Morphism, NotMarkedError, apply, is_immersion
@@ -268,8 +268,9 @@ def _planted_group_family(rng, size=3):
 
 class TestNoBouquetOfTheInputs:
     """Solving reads the petals off the images: no bouquet of an input
-    map is built (bouquets of the reduced maps and of the embedding are,
-    by the immersion self-checks)."""
+    map is built.  The `folded` self-check builds bouquets of the chain
+    maps of a step and of the embedding, except of a map with no
+    generators, whose bouquet is the base vertex alone."""
 
     @staticmethod
     def _record_bouquets(monkeypatch):
@@ -292,9 +293,21 @@ class TestNoBouquetOfTheInputs:
         )
         assert max(len(w) for w in instance.g.images + instance.h.images) > 30
         seen = self._record_bouquets(monkeypatch)
+        folded = []
+        real_folded = morphisms._immersion_by_folding
+
+        def recording_folded(f):
+            folded.append(f)
+            return real_folded(f)
+
+        monkeypatch.setattr(morphisms, "_immersion_by_folding", recording_folded)
         result = group.solve_pair(instance)
         assert result.trail
-        assert seen
+        # the `folded` leg ran on g' and h' of every step and on the
+        # embedding, here all maps of no generators, so no bouquet at all
+        checked = [f for step in result.trail for f in (step.g_prime, step.h_prime)]
+        assert [id(f) for f in folded] == [id(f) for f in [*checked, result.embedding]]
+        assert len(folded) == 3 and not any(f.images for f in folded)
         assert all(f != instance.g and f != instance.h for f in seen)
 
     def test_solve_set(self, monkeypatch):

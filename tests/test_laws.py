@@ -1,8 +1,12 @@
-"""The L3 law of the equaliser, checked by solving both sides, with no
-oracle ball: renaming the codomain's letters, by a permutation of its
-symbols or, in group mode, by inverting one of them in every image, leaves
-the basis unchanged, and permuting the domain's symbols permutes the basis
-letters.
+"""Laws of the equaliser, checked by solving both sides, with no oracle
+ball.  L3: renaming the codomain's letters, by a permutation of its symbols
+or, in group mode, by inverting one of them in every image, leaves the
+basis unchanged, and permuting the domain's symbols, or in group mode
+inverting one of them, renames the basis letters alike.  L4: a family's
+basis does not depend on the order of its maps.  At the rank edge, a map
+phi: Sigma -> Sigma that fixes all generators but the last has
+Eq(id, phi) of rank |Sigma| - 1, and L1 gives Eq(g, g phi) = Eq(g phi, g)
+= Eq(id, phi) whatever g is.
 
 A group basis is compared as the set of min(w, w^-1) in shortlex order:
 which orientation of a chain the walk keeps depends on the order of the
@@ -11,18 +15,28 @@ its first-letter index, so a first letter of an inverse image spelt wrongly
 shows here even where the fixtures' letter order hides it.
 """
 
+import importlib
+import itertools
+import pathlib
 import random
 
 import pytest
 
 from markedpcp import group, monoid
 from markedpcp.instances import Instance
-from markedpcp.morphisms import Morphism, apply, is_immersion, is_marked
+from markedpcp.morphisms import Morphism, apply, compose, identity, is_immersion, is_marked
 from markedpcp.words import GROUP, MONOID, Alphabet, Letter, Word, invert
 
 from support import random_immersion, random_marked_morphism
 
 PAIRS = 120
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def generators(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("generators")
 
 
 def _pairs(rng, mode):
@@ -57,10 +71,13 @@ def _shortlex(w):
     return (len(w), [l.sort_key() for l in w.letters])
 
 
+def _solver(mode):
+    return group if mode == GROUP else monoid
+
+
 def _basis(g, h):
     """The basis of Eq(g, h), each word as min(w, w^-1) in group mode."""
-    solver = group if g.mode == GROUP else monoid
-    return _canonical(solver.solve_pair(Instance(g, h)).basis)
+    return _canonical(_solver(g.mode).solve_pair(Instance(g, h)).basis)
 
 
 def _canonical(words):
@@ -138,3 +155,64 @@ def test_permuting_sigma_permutes_the_basis(mode):
         assert _basis(moved(g), moved(h)) == expected
         nontrivial += bool(basis)
     assert nontrivial >= PAIRS // 2
+
+
+def test_inverting_a_sigma_letter_inverts_it_in_the_basis():
+    rng = random.Random(5)
+    cases = nontrivial = 0
+    for g, h in _pairs(rng, GROUP):
+        basis = _basis(g, h)
+        for j in range(len(g.domain)):
+
+            def flipped(f):
+                images = list(f.images)
+                images[j] = invert(images[j])
+                return Morphism(f.domain, f.codomain, tuple(images))
+
+            def relabel(l):
+                return l.inverse() if l.index == j else l
+
+            expected = _canonical([Word(g.domain, tuple(map(relabel, w))) for w in basis])
+            assert _basis(flipped(g), flipped(h)) == expected
+            cases += 1
+            nontrivial += bool(basis)
+    assert nontrivial >= cases // 2
+
+
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+def test_family_basis_ignores_the_order_of_the_maps(mode, generators):
+    rng = random.Random(97 if mode == MONOID else 101)
+    for _ in range(60):
+        family = generators.planted_family(rng, mode)
+        bases = [
+            _canonical(_solver(mode).solve_set(list(maps), family.sigma, family.delta).basis)
+            for maps in itertools.permutations(family.morphisms)
+        ]
+        # a planted family shares images on some generators: rank >= 1
+        assert bases[0] and all(b == bases[0] for b in bases)
+
+
+def _fix_all_but_last(sigma):
+    """phi(a_i) = a_i for i < k-1, and phi(a_{k-1}) = a_{k-1} a_0 a_{k-1},
+    an immersion, in group mode, or a_{k-1} a_0, marked, in monoid mode."""
+    last = Letter(len(sigma) - 1, 1)
+    tail = (last, Letter(0, 1), last) if sigma.mode == GROUP else (last, Letter(0, 1))
+    images = identity(sigma).images[:-1] + (Word(sigma, tail),)
+    return Morphism(sigma, sigma, images)
+
+
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_rank_at_the_edge(mode, k):
+    rng = random.Random(100 * k + (1 if mode == GROUP else 0))
+    embed = random_marked_morphism if mode == MONOID else random_immersion
+    sigma = Alphabet(tuple(f"a{i}" for i in range(k)), mode)
+    phi = _fix_all_but_last(sigma)
+    basis = _basis(identity(sigma), phi)
+    assert basis == {(Letter(i, 1),) for i in range(k - 1)}
+    assert len(basis) == k - 1 <= len(sigma)
+    for _ in range(10):
+        delta = Alphabet(tuple(f"x{i}" for i in range(rng.randint(k, k + 2))), mode)
+        g = embed(rng, sigma, delta, 5)
+        g_phi = compose(g, phi)
+        assert _basis(g, g_phi) == _basis(g_phi, g) == basis

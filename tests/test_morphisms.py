@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from markedpcp import stallings
 from markedpcp.morphisms import (
     Morphism,
     NotMarkedError,
@@ -561,3 +562,24 @@ class TestLengthsCheckAgreement:
         assert _immersion_by_lengths(f) is _reference_lengths(f) is True
         for method in ("marked", "folded", "lengths", "all"):
             assert is_immersion(f, method) is True
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rank_zero_is_folded_without_a_bouquet(self, m, monkeypatch):
+        # the shortcut answers what the bouquet it skips answers: the base
+        # vertex alone, which is folded both ways
+        sigma = Alphabet((), GROUP)
+        delta = Alphabet(tuple(f"x{j}" for j in range(m)), GROUP)
+        f = Morphism(sigma, delta, ())
+        built = []
+        real = stallings.bouquet
+
+        def recording(f):
+            built.append(f)
+            return real(f)
+
+        monkeypatch.setattr(stallings, "bouquet", recording)
+        for method in ("folded", "all"):
+            assert is_immersion(f, method) is True
+        assert built == []
+        assert stallings.is_folded_both_ways(stallings.bouquet(f)) is True
+        assert built == [f]
