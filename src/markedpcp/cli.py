@@ -18,7 +18,6 @@ from . import monoid as monoid_solver
 from .fileformat import ParseError, parse, serialize, serialize_instance
 from .instances import EqualiserResult, Instance, SetInstance, prefix_complexity
 from .morphisms import NotMarkedError, is_immersion, is_marked
-from .stallings import bouquet, core_of_pair, export_dot, product
 from .words import GROUP, MONOID
 
 # `density.MARKED_MONOID` and `density.IMMERSION_GROUP`, named here so that
@@ -45,6 +44,8 @@ def _solve(problem: Instance | SetInstance, force_set: bool) -> EqualiserResult:
 
 
 def _write_trace(result: EqualiserResult, directory: str) -> None:
+    from .stallings import export_dot  # deferred: only the trace draws graphs
+
     os.makedirs(directory, exist_ok=True)
     for i, step in enumerate(result.trail):
         base = os.path.join(directory, f"step_{i:03d}")
@@ -131,6 +132,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
+    from .stallings import bouquet, core_of_pair, export_dot, product  # deferred, as oracle
+
     problem = _read(args.file)
     morphisms = problem.morphisms
     if args.graph in ("h", "product", "core") and len(morphisms) < 2:

@@ -155,7 +155,13 @@ def _sample_word(rng: random.Random, m: int, n: int, group: bool) -> tuple[RawLe
         weights = [1] + [2 * m * (2 * m - 1) ** (j - 1) for j in range(1, n + 1)]
     else:
         weights = [m**j for j in range(n + 1)]
-    length = rng.choices(range(n + 1), weights=weights)[0]
+    try:
+        length = rng.choices(range(n + 1), weights=weights)[0]
+    except OverflowError:  # the sum of the weights, taken as a float
+        raise ValueError(
+            "sampling counts the words of length <= n as a float, which holds fewer than"
+            f" 2^1024; m = {m}, n = {n} give at least 2^{sum(weights).bit_length() - 1}"
+        ) from None
     word: list[RawLetter] = []
     letters = _signed_letters(m) if group else [(i, 1) for i in range(m)]
     for _ in range(length):

@@ -223,7 +223,9 @@ def _immersion_by_folding(f: Morphism) -> bool:
         return True
     if any(not img for img in f.images):
         return False
-    return stallings.is_folded_both_ways(stallings.bouquet(f))
+    from .stallings import bouquet, is_folded_both_ways  # deferred: only this leg folds
+
+    return is_folded_both_ways(bouquet(f))
 
 
 def is_immersion(f: Morphism, method: str = "all") -> bool:
@@ -318,7 +320,3 @@ def greedy_decode(f: Morphism, w: Word) -> Word | None:
         out.append(gen)
         rest = rest[len(img) :]
     return Word(f.domain, tuple(out))
-
-
-# stallings imports this module, so it is bound here, after every name it uses
-from . import stallings  # noqa: E402

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import instances  # not its names: it imports morphisms, which imports this
+from .instances import agreeing_chains
 from .morphisms import Morphism, is_marked
 from .words import GROUP, Alphabet, Letter, Word
 
@@ -184,7 +184,7 @@ def core_of_pair(
     g_first, h_first = _first_edges(g), _first_edges(h)
     walks = [
         (label, list(zip(_edge_run(g, g_first, u), _edge_run(h, h_first, v))))
-        for label, u, v in instances.agreeing_chains(g, h)
+        for label, u, v in agreeing_chains(g, h)
     ]
     pairs = sorted({p for _, walk in walks for p in walk})
     ends = [
@@ -223,20 +223,20 @@ def _decode_paths(paths: list[list[tuple[int, int]]], f: Morphism) -> list[Word]
             e, d = path[i]
             gi = starts.get(e)
             if gi is not None and d == f.images[gi].first.sign:
-                sign = 1
+                letter = f.domain._positive_letters[gi]
             else:
                 gi = ends.get(e)
                 if gi is None or d != -f.images[gi].last.sign:
                     raise ValueError("path is not a concatenation of petal traversals")
-                sign = -1
+                letter = f.domain._negative_letters[gi]
             im = f.images[gi].letters
             e0 = first_edge[gi]
             expected = [(e0 + p, l.sign) for p, l in enumerate(im)]
-            if sign < 0:
+            if letter.sign < 0:
                 expected = [(e, -d) for e, d in reversed(expected)]
             if path[i : i + len(im)] != expected:
                 raise ValueError("path is not a concatenation of petal traversals")
-            out.append(Letter(gi, sign))
+            out.append(letter)
             i += len(im)
         words.append(Word._trusted(f.domain, tuple(out)))
     return words

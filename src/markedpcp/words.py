@@ -57,6 +57,13 @@ class Alphabet:
     symbols: tuple[str, ...]
     mode: str = MONOID
     _pos: dict = field(init=False, repr=False, compare=False)
+    # One `Letter` per signed generator, held by every word over the alphabet:
+    # by sign, letter to inverse (keys in `Letter.sort_key` order, as the walk
+    # reads them), and token text to letter (`x`, and `x^-1` in group mode).
+    _positive_letters: tuple = field(init=False, repr=False, compare=False)
+    _negative_letters: tuple = field(init=False, repr=False, compare=False)
+    _inverse_letters: dict = field(init=False, repr=False, compare=False)
+    _token_letters: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "symbols", tuple(self.symbols))
@@ -68,7 +75,20 @@ class Alphabet:
         pos = {s: i for i, s in enumerate(self.symbols)}
         if len(pos) != len(self.symbols):
             raise ValueError("alphabet symbols must be pairwise distinct")
+        positive = tuple([Letter(i, 1) for i in range(len(pos))])
+        negative = tuple([Letter(i, -1) for i in range(len(pos))])
+        inverse, tokens = {}, {}
+        for s, p, n in zip(self.symbols, positive, negative):
+            inverse[p], inverse[n] = n, p
+            if _SYMBOL_RE.match(s):
+                tokens[s] = p
+                if self.mode == GROUP:
+                    tokens[s + "^-1"] = n
         object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_positive_letters", positive)
+        object.__setattr__(self, "_negative_letters", negative)
+        object.__setattr__(self, "_inverse_letters", inverse)
+        object.__setattr__(self, "_token_letters", tokens)
 
     def __eq__(self, other: object) -> bool:
         # Interned alphabets are shared, so identity settles most
@@ -92,40 +112,6 @@ class Alphabet:
         except KeyError:
             raise ValueError(f"symbol {symbol!r} not in alphabet {self.symbols}") from None
 
-    @functools.cached_property
-    def _token_letters(self) -> dict[str, Letter]:
-        """Token text to letter: `x` for every symbol the word syntax can
-        spell, and `x^-1` in group mode.  Built on the first parse."""
-        table = {}
-        for i, s in enumerate(self.symbols):
-            if _SYMBOL_RE.match(s):
-                table[s] = Letter(i, 1)
-                if self.mode == GROUP:
-                    table[s + "^-1"] = Letter(i, -1)
-        return table
-
-    @functools.cached_property
-    def _positive_letters(self) -> tuple[Letter, ...]:
-        """`Letter(i, 1)` for every symbol, built on first use and shared by
-        every caller, so that solving builds no generator letters."""
-        return tuple([Letter(i, 1) for i in range(len(self.symbols))])
-
-    @functools.cached_property
-    def _negative_letters(self) -> tuple[Letter, ...]:
-        """`Letter(i, -1)` for every symbol, as `_positive_letters`."""
-        return tuple([Letter(i, -1) for i in range(len(self.symbols))])
-
-    @functools.cached_property
-    def _inverse_letters(self) -> dict[Letter, Letter]:
-        """Letter to its inverse, over both signs of every symbol, keyed in
-        `Letter.sort_key` order.  Built on first use, so that inverting
-        image letters builds no new `Letter`s."""
-        table = {}
-        for pos, neg in zip(self._positive_letters, self._negative_letters):
-            table[pos] = neg
-            table[neg] = pos
-        return table
-
     def positive_letters(self) -> list[Letter]:
         return list(self._positive_letters)
 
@@ -138,11 +124,11 @@ class Alphabet:
 
 @functools.lru_cache(maxsize=256)
 def _alphabet(symbols: tuple[str, ...], mode: str) -> Alphabet:
-    """The one shared alphabet of `symbols` in `mode`, built on first use,
-    so that every parsed file, solve and word over the same symbols shares
-    its position and letter tables.  Bounded: past 256 alphabets the least
-    recently used one is dropped.  Parsing and solving build their
-    alphabets here; `Alphabet(...)` itself always builds a new one."""
+    """The one shared alphabet of `symbols` in `mode`, so that every parsed
+    file, solve and word over the same symbols shares its position and
+    letter tables.  Bounded: past 256 alphabets the least recently used
+    one is dropped.  Parsing and solving build their alphabets here;
+    `Alphabet(...)` itself always builds a new one."""
     return Alphabet(symbols, mode)
 
 
@@ -154,12 +140,11 @@ class Word:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self) -> None:
-        letters = tuple(Letter(i, s) for (i, s) in self.letters)
+        letters = _own_letters(self.alphabet, self.letters)
         object.__setattr__(self, "letters", letters)
-        _check_letters(self.alphabet, letters)
         if self.alphabet.mode == GROUP:
-            for pos in range(len(letters) - 1):
-                if letters[pos] == letters[pos + 1].inverse():
+            for pos, (a, b) in enumerate(zip(letters, letters[1:])):
+                if a is self.alphabet._inverse_letters[b]:
                     raise ValueError(
                         f"group word not freely reduced at position {pos}"
                         " (use free_reduce for raw sequences)"
@@ -203,24 +188,21 @@ class Word:
         return (len(self.letters), tuple(l.sort_key() for l in self.letters))
 
 
-def _check_letters(alphabet: Alphabet, letters: tuple[Letter, ...]) -> None:
+def _own_letters(alphabet: Alphabet, raw: Iterable[tuple[int, int]]) -> tuple[Letter, ...]:
+    """The (index, sign) pairs of `raw` as the alphabet's own letters.  The
+    first pair with an index out of range, a bad sign, or a negative sign
+    in monoid mode raises, named by its position in `raw`."""
     n = len(alphabet)
-    for pos, l in enumerate(letters):
-        if not 0 <= l.index < n:
-            raise ValueError(f"letter index {l.index} out of range at position {pos}")
-        if l.sign not in (1, -1):
-            raise ValueError(f"bad letter sign {l.sign} at position {pos}")
-        if l.sign < 0 and alphabet.mode == MONOID:
+    positive, negative = alphabet._positive_letters, alphabet._negative_letters
+    out = []
+    for pos, (i, s) in enumerate(raw):
+        if not 0 <= i < n:
+            raise ValueError(f"letter index {i} out of range at position {pos}")
+        if s not in (1, -1):
+            raise ValueError(f"bad letter sign {s} at position {pos}")
+        if s < 0 and alphabet.mode == MONOID:
             raise ValueError(f"monoid word contains inverse letter at position {pos}")
-
-
-def _reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for l in letters:
-        if out and out[-1] == Letter(l.index, -l.sign):
-            out.pop()
-        else:
-            out.append(l)
+        out.append(positive[i] if s > 0 else negative[i])
     return tuple(out)
 
 
@@ -228,12 +210,18 @@ def free_reduce(alphabet: Alphabet, letters: Iterable[Letter]) -> Word:
     """Freely reduce a raw letter sequence over a group-mode alphabet.
 
     Idempotent; rejects monoid-mode alphabets, where reduction is undefined.
+    Letters are checked as `Word` checks them, at raw positions, before any cancel.
     """
     if alphabet.mode != GROUP:
         raise ValueError("free reduction is only defined in group mode")
-    reduced = _reduce_letters(Letter(i, s) for (i, s) in letters)
-    _check_letters(alphabet, reduced)
-    return Word._trusted(alphabet, reduced)
+    inverse = alphabet._inverse_letters
+    out: list[Letter] = []
+    for l in _own_letters(alphabet, letters):
+        if out and out[-1] is inverse[l]:
+            out.pop()
+        else:
+            out.append(l)
+    return Word._trusted(alphabet, tuple(out))
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -243,9 +231,10 @@ def concat(u: Word, v: Word) -> Word:
     if u.alphabet.mode == MONOID:
         return Word._trusted(u.alphabet, u.letters + v.letters)
     # both already reduced, so cancellation only happens at the junction
+    inverse = u.alphabet._inverse_letters
     left = list(u.letters)
     i = 0
-    while left and i < len(v.letters) and left[-1] == v.letters[i].inverse():
+    while left and i < len(v.letters) and left[-1] == inverse[v.letters[i]]:
         left.pop()
         i += 1
     return Word._trusted(u.alphabet, tuple(left) + v.letters[i:])
@@ -255,7 +244,8 @@ def invert(w: Word) -> Word:
     """Group inverse; an involution with concat(w, invert(w)) empty."""
     if w.alphabet.mode != GROUP:
         raise ValueError("inversion is only defined in group mode")
-    return Word._trusted(w.alphabet, tuple(l.inverse() for l in reversed(w.letters)))
+    inverse = w.alphabet._inverse_letters
+    return Word._trusted(w.alphabet, tuple([inverse[l] for l in reversed(w.letters)]))
 
 
 def proper_prefixes(w: Word) -> set[Word]:
@@ -281,6 +271,7 @@ def ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    inverse = alphabet._inverse_letters
     letters = sorted(alphabet.signed_letters(), key=Letter.sort_key)
     level: list[tuple[Letter, ...]] = [()]
     yield Word(alphabet, ())
@@ -288,7 +279,7 @@ def ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
         nxt = []
         for stem in level:
             for l in letters:
-                if alphabet.mode == GROUP and stem and stem[-1] == l.inverse():
+                if alphabet.mode == GROUP and stem and stem[-1] is inverse[l]:
                     continue
                 seq = stem + (l,)
                 nxt.append(seq)
@@ -332,8 +323,9 @@ def parse_letters(
     except KeyError:
         pass
     else:
+        # the tables share the alphabet's letters, so identity finds a cancelling pair
         if alphabet.mode != GROUP or not any(
-            map(operator.eq, map(alphabet._inverse_letters.__getitem__, letters), letters[1:])
+            map(operator.is_, map(alphabet._inverse_letters.__getitem__, letters), letters[1:])
         ):
             return Word._trusted(alphabet, letters)
     # an unknown token or a cancelling pair: name the first in token order

@@ -14,6 +14,7 @@ from conftest import FIXTURES
 
 MARKED = str(FIXTURES / "marked_pair.pcp")
 IMMERSED = str(FIXTURES / "immersed_pair.pcp")
+RANK0 = str(FIXTURES / "rank0_group_pair.pcp")
 UNFOLDABLE = str(FIXTURES / "unfoldable_map.pcp")
 
 
@@ -47,8 +48,7 @@ class TestSolve:
             calls.append((g, h))
             return real(g, h)
 
-        for module in (stallings, cli):
-            monkeypatch.setattr(module, "core_of_pair", counting)
+        monkeypatch.setattr(stallings, "core_of_pair", counting)
         trace = tmp_path / "steps"
         assert run(["solve", IMMERSED, "--trace", str(trace)]) == 0
         capsys.readouterr()
@@ -223,6 +223,19 @@ class TestDensity:
         run(argv)
         assert capsys.readouterr().out == first
 
+    def test_sampling_past_the_float_range_exits_two(self, capsys):
+        argv = [
+            "density", "--kind", "immersion-group", "-k", "1", "-m", "2",
+            "-n", "1000", "--samples", "1",
+        ]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sampling counts the words of length <= n as a float, which holds"
+            " fewer than 2^1024; m = 2, n = 1000 give at least 2^1585\n"
+        )
+
 
 class TestExportDot:
     def test_core_graph(self, capsys, tmp_path):
@@ -290,7 +303,8 @@ class TestParserReuse:
 
 
 class TestColdImport:
-    """`solve`, `check` and `reduce` load no oracle or density code."""
+    """`solve`, `check` and `reduce` load no oracle or density code, and the
+    graph module only when a graph is folded or drawn."""
 
     def test_cli_import_leaves_oracle_and_density_out(self):
         code = (
@@ -308,6 +322,31 @@ class TestColdImport:
             "file=sys.stderr)"
         )
         assert _fresh_python(["-c", code]).stderr == "[]\n"
+
+    @staticmethod
+    def _graph_module_loaded(*argvs: list[str]) -> str:
+        """Exit codes of `run` on each argv in one fresh process, then
+        whether `markedpcp.stallings` was loaded, as stderr."""
+        code = (
+            "import sys, markedpcp.cli as c; "
+            "loaded = 'markedpcp.stallings' in sys.modules; "
+            f"codes = [c.run(argv) for argv in {list(argvs)!r}]; "
+            "print(loaded, codes, 'markedpcp.stallings' in sys.modules, file=sys.stderr)"
+        )
+        return _fresh_python(["-c", code]).stderr
+
+    def test_solve_check_and_reduce_leave_the_graph_module_out(self):
+        argvs = [["solve", MARKED], ["check", MARKED], ["reduce", MARKED], ["solve", RANK0]]
+        assert self._graph_module_loaded(*argvs) == "False [0, 0, 0, 0] False\n"
+
+    def test_folding_or_drawing_loads_the_graph_module(self, tmp_path):
+        dot, trace = str(tmp_path / "core.dot"), str(tmp_path / "steps")
+        for argv in (
+            ["solve", IMMERSED],
+            ["export-dot", IMMERSED, "--graph", "core", "-o", dot],
+            ["solve", RANK0, "--trace", trace],
+        ):
+            assert self._graph_module_loaded(argv) == "False [0] True\n", argv
 
     def test_density_kinds_are_the_density_module_names(self):
         from markedpcp.density import IMMERSION_GROUP, MARKED_MONOID

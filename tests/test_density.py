@@ -124,6 +124,18 @@ class TestMeasureDensity:
         )
         assert abs(sampled - exact) < Fraction(1, 20)
 
+    @pytest.mark.parametrize("kind, n", [(IMMERSION_GROUP, 1000), (MARKED_MONOID, 2000)])
+    def test_sampling_past_the_float_range_is_rejected(self, kind, n):
+        with pytest.raises(ValueError, match=r"fewer than 2\^1024; m = 2, n = \d+ give at least"):
+            measure_density(DensityParams(1, 2, n, samples=1), kind)
+
+    def test_sampling_up_to_the_float_range(self):
+        # 2^1023 - 1 monoid words of length <= 1022 over two letters fit a
+        # float; 2^1024 - 1 of length <= 1023 do not
+        measure_density(DensityParams(1, 2, 1022, samples=1), MARKED_MONOID)
+        with pytest.raises(ValueError, match="at least 2\\^1023$"):
+            measure_density(DensityParams(1, 2, 1023, samples=1), MARKED_MONOID)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             measure_density(DensityParams(1, 1, 2), "nonsense")

@@ -10,7 +10,7 @@ from markedpcp import group, monoid
 from markedpcp.cli import run
 from markedpcp.fileformat import parse, serialize_instance
 from markedpcp.instances import Instance, SetInstance, _fresh_alphabet
-from markedpcp.words import GROUP, MONOID, Alphabet, _alphabet
+from markedpcp.words import GROUP, MONOID, Alphabet, Letter, Word, _alphabet, free_reduce
 
 import parse_reference as reference
 from conftest import FIXTURES
@@ -80,6 +80,48 @@ def test_a_workload_builds_each_alphabet_once(monkeypatch):
     assert len(built) > parsed  # the solve pass needs fresh alphabets too
     assert max(collections.Counter(built).values()) == 1
     assert _alphabet.cache_info().currsize == len(built)
+
+
+def _own_letters(word: Word) -> bool:
+    """Whether every letter of `word` is its alphabet's own table entry."""
+    a = word.alphabet
+    return all(
+        l is (a._positive_letters if l.sign > 0 else a._negative_letters)[l.index]
+        for l in word.letters
+    )
+
+
+def test_words_share_their_alphabets_letters():
+    checked = 0
+    for text in _law_texts():
+        problem = parse(text)
+        images = [img for f in problem.morphisms for img in f.images]
+        solver = group if problem.mode == GROUP else monoid
+        if isinstance(problem, Instance):
+            result = solver.solve_pair(problem)
+        else:
+            result = solver.solve_set(list(problem.morphisms), problem.sigma, problem.delta)
+        maps = [result.embedding]
+        for step in result.trail:
+            maps += [step.after.g, step.after.h, step.g_prime, step.h_prime]
+        solved = [*result.basis, *(img for f in maps for img in f.images)]
+        assert all(map(_own_letters, images + solved)), text
+        checked += len(solved)
+    assert checked > 0
+    for mode in (MONOID, GROUP):
+        alphabet = Alphabet(("x", "y"), mode)
+        assert _own_letters(Word(alphabet, [(1, 1), (0, 1), (1, 1)]))
+    alphabet = Alphabet(("x", "y"), GROUP)
+    raw = [(0, -1), (1, 1), (1, -1), (0, -1), (1, -1)]
+    assert _own_letters(Word(alphabet, [(0, -1), (1, -1)]))
+    assert _own_letters(free_reduce(alphabet, raw))
+
+
+def test_inverse_table_keys_come_in_letter_order():
+    for n in range(5):
+        for mode in (MONOID, GROUP):
+            keys = list(Alphabet(tuple(f"s{i}" for i in range(n)), mode)._inverse_letters)
+            assert keys == sorted(keys, key=Letter.sort_key) and len(keys) == 2 * n
 
 
 def test_more_alphabets_than_the_cache_holds():

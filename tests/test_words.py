@@ -131,6 +131,16 @@ class TestFreeReduce:
         with pytest.raises(ValueError):
             free_reduce(MA, [Letter(0, 1)])
 
+    def test_cancelling_letters_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="^letter index 5 out of range at position 0$"):
+            free_reduce(GA, [(5, 1), (5, -1)])
+        with pytest.raises(ValueError, match="^letter index 5 out of range at position 2$"):
+            free_reduce(GA, [(0, 1), (1, 1), (5, 1), (5, -1)])
+
+    def test_cancelling_letters_of_a_bad_sign_rejected(self):
+        with pytest.raises(ValueError, match="^bad letter sign 2 at position 0$"):
+            free_reduce(GA, [(0, 2), (0, -2)])
+
     @given(raw_letters)
     def test_idempotent(self, raw):
         once = free_reduce(GA, raw)
