@@ -16,7 +16,7 @@ import sys
 from . import group as group_solver
 from . import monoid as monoid_solver
 from .fileformat import ParseError, parse, serialize, serialize_instance
-from .instances import EqualiserResult, Instance, SetInstance, prefix_complexity
+from .instances import EqualiserResult, Instance, SetInstance, prefix_complexity, reduce_step
 from .morphisms import NotMarkedError, is_immersion, is_marked
 from .words import GROUP, MONOID
 
@@ -30,14 +30,10 @@ def _read(path: str) -> Instance | SetInstance:
         return parse(handle.read())
 
 
-def _solver(mode: str):
-    return group_solver if mode == GROUP else monoid_solver
-
-
 def _solve(problem: Instance | SetInstance, force_set: bool) -> EqualiserResult:
     if len(problem.morphisms) < 2:
         raise ValueError("solve needs a file with at least two maps")
-    solver = _solver(problem.mode)
+    solver = group_solver if problem.mode == GROUP else monoid_solver
     if isinstance(problem, Instance) and not force_set:
         return solver.solve_pair(problem)
     return solver.solve_set(list(problem.morphisms), problem.sigma, problem.delta)
@@ -92,14 +88,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
     before = prefix_complexity(problem)
-    reducer = (
-        group_solver.reduce_group_instance
-        if problem.mode == GROUP
-        else monoid_solver.reduce_instance
-    )
     current = problem
     for _ in range(args.steps):
-        current = reducer(current).after
+        current = reduce_step(current).after
     after = prefix_complexity(current)
     sys.stdout.write(f"prefix_complexity_before {before}\n")
     sys.stdout.write(f"prefix_complexity_after {after}\n")

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import prod
 
 MARKED_MONOID = "marked-monoid"
@@ -149,28 +150,33 @@ def _exact_immersion_fraction(k: int, m: int, n: int) -> Fraction:
     return Fraction(count, total**k)
 
 
-def _sample_word(rng: random.Random, m: int, n: int, group: bool) -> tuple[RawLetter, ...]:
-    # uniform over all words (reduced words, in group mode) of length <= n
+def _sample_words(
+    rng: random.Random, m: int, n: int, group: bool
+) -> Iterator[tuple[RawLetter, ...]]:
+    """Words drawn without end, uniformly from the words (reduced words, in
+    group mode) of length <= n; the length weights and letter lists are built once."""
     if group:
         weights = [1] + [2 * m * (2 * m - 1) ** (j - 1) for j in range(1, n + 1)]
     else:
         weights = [m**j for j in range(n + 1)]
+    cum_weights = list(accumulate(weights))
     try:
-        length = rng.choices(range(n + 1), weights=weights)[0]
-    except OverflowError:  # the sum of the weights, taken as a float
+        float(cum_weights[-1])  # `Random.choices` takes the total as a float
+    except OverflowError:
         raise ValueError(
             "sampling counts the words of length <= n as a float, which holds fewer than"
-            f" 2^1024; m = {m}, n = {n} give at least 2^{sum(weights).bit_length() - 1}"
+            f" 2^1024; m = {m}, n = {n} give at least 2^{cum_weights[-1].bit_length() - 1}"
         ) from None
-    word: list[RawLetter] = []
     letters = _signed_letters(m) if group else [(i, 1) for i in range(m)]
-    for _ in range(length):
+    # the letters that may follow each letter: all but its inverse in group mode
+    after = {l: [o for o in letters if o != _inverse(l)] if group else letters for l in letters}
+    while True:
+        word: list[RawLetter] = []
         options = letters
-        if group and word:
-            banned = _inverse(word[-1])
-            options = [l for l in letters if l != banned]
-        word.append(rng.choice(options))
-    return tuple(word)
+        for _ in range(rng.choices(range(n + 1), cum_weights=cum_weights)[0]):
+            word.append(rng.choice(options))
+            options = after[word[-1]]
+        yield tuple(word)
 
 
 def _is_marked_tuple(images: list[tuple[RawLetter, ...]]) -> bool:
@@ -216,10 +222,11 @@ def measure_density(
         return empirical, predicted
 
     rng = random.Random(seed)
+    words = _sample_words(rng, m, n, group)
     test = _is_immersion_tuple if group else _is_marked_tuple
     hits = 0
     for _ in range(params.samples):
-        images = [_sample_word(rng, m, n, group) for _ in range(k)]
+        images = [next(words) for _ in range(k)]
         if test(images):
             hits += 1
     return Fraction(hits, params.samples), predicted

@@ -1,28 +1,19 @@
-"""Instance reduction through pair cores and the equaliser solver for
-free-group immersions, including finite families.
-
-The mode and immersion checks live here; the petal walk, the reduce and
-intersect steps, the loop, the trail pull-back and the family solve are the
-shared driver in `instances`.  The petals are read off the images by that
-walk, so solving builds no graph.
+"""The equaliser solver for free-group immersions, including finite
+families.  Each entry point checks the mode and the immersion of its inputs
+and makes one call of the shared driver in `instances`, which does the rest
+and picks the immersion self-checks by the maps' mode.  The petals are read
+off the images by the driver's walk, so solving builds no graph.
 """
 
 from __future__ import annotations
 
-from .instances import (
-    EqualiserResult,
-    Instance,
-    ReductionStep,
-    intersect,
-    reduce_step,
-    reduce_to_basis,
-    solve_family,
-)
+from .instances import EqualiserResult, Instance, ReductionStep
+from .instances import reduce_step, reduce_to_basis, solve_family
 
 # Not used here: the tests and the benchmark's tracing (`SPANNED`) look
 # these up as `group.prefix_complexity` and `group.iteration_bound`.
 from .instances import iteration_bound, prefix_complexity  # noqa: F401
-from .morphisms import Morphism, is_immersion, require_immersion
+from .morphisms import Morphism, require_immersion
 from .words import GROUP, Alphabet
 
 
@@ -33,7 +24,7 @@ def reduce_group_instance(instance: Instance) -> ReductionStep:
     found by the walk's first-letter index rather than a separate check."""
     if instance.mode != GROUP:
         raise ValueError("group reduction needs a group-mode instance")
-    return reduce_step(instance, is_immersion, "petal maps must be immersions")
+    return reduce_step(instance)
 
 
 def solve_pair(instance: Instance) -> EqualiserResult:
@@ -43,26 +34,12 @@ def solve_pair(instance: Instance) -> EqualiserResult:
         raise ValueError("this solver handles group-mode instances")
     require_immersion(instance.g, instance.names[0])
     require_immersion(instance.h, instance.names[1])
-    return _solve_immersed_pair(instance)
+    return reduce_to_basis(instance, reduce_group_instance)
 
 
-def _solve_immersed_pair(instance: Instance) -> EqualiserResult:
-    """`solve_pair` for two maps already checked to be immersions."""
-    return reduce_to_basis(instance, reduce_group_instance, is_immersion)
-
-
-def _intersect(psi1: Morphism, psi2: Morphism) -> Morphism:
-    """Immersion whose image is the intersection of the two image subgroups."""
-    return intersect(psi1, psi2, is_immersion, "intersection map must be an immersion")
-
-
-def solve_set(
-    morphisms: list[Morphism], sigma: Alphabet, delta: Alphabet
-) -> EqualiserResult:
+def solve_set(morphisms: list[Morphism], sigma: Alphabet, delta: Alphabet) -> EqualiserResult:
     """Equaliser of a finite family of immersions: solve consecutive pairs,
     then intersect the image subgroups through the petals of their pair cores."""
     if sigma.mode != GROUP:
         raise ValueError("this solver handles group-mode morphisms")
-    return solve_family(
-        morphisms, sigma, delta, require_immersion, _solve_immersed_pair, _intersect
-    )
+    return solve_family(morphisms, sigma, delta, reduce_group_instance)

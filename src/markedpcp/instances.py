@@ -5,22 +5,22 @@ The monoid and group solvers follow one scheme: reduce the pair until it
 reaches a solved shape or repeats, read the basis off the final pair, and
 pull it back through the trail; a family is solved pair by pair and the
 images are intersected.  Both modes reduce and intersect through one walk,
-`agreeing_chains`; only the mode and precondition checks and the marked /
-immersion self-checks differ, and the solvers pass them in.  The signed
-images f(x) and f(x^-1) are spelt out in `morphisms` only: the walk indexes
-`first_letters` and reads its inverse runs off `inverse_image`.  That index
-is the step precondition: the named marking / immersion check runs only
-when it finds a clash.
+`agreeing_chains`, and the driver picks the marked or immersion checks by
+the maps' mode (`_checks`); `monoid` and `group` add only entry points with
+their mode checks and preconditions.  The signed images f(x) and f(x^-1)
+are spelt out in `morphisms` only: the walk indexes `first_letters` and
+reads its inverse runs off `inverse_image`.  That index is the step
+precondition: the named marking / immersion check runs only on a clash.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .morphisms import Morphism, apply, first_letters, inverse_image
-from .morphisms import require_immersion, require_marked
+from .morphisms import is_immersion, is_marked, require_immersion, require_marked
 from .words import GROUP, Alphabet, Letter, Word, _alphabet
 
 if TYPE_CHECKING:
@@ -346,10 +346,34 @@ def agreeing_chains(
     return chains
 
 
+class _Checks(NamedTuple):
+    require: Callable[[Morphism, str], None]  # the precondition
+    embeds: Callable[[Morphism], bool]  # the self-check
+    step_failure: str  # its message for a reduce step's maps
+    intersect_failure: str  # and for an intersection map
+
+
+def _checks(mode: str) -> _Checks:
+    """The checks of maps of `mode`: immersions in group mode, marked maps
+    in monoid mode.  They are read by their module-level names on every
+    call, not kept in a table, since the benchmark's tracing and the tests
+    patch those names."""
+    if mode == GROUP:
+        return _Checks(
+            require_immersion,
+            is_immersion,
+            "petal maps must be immersions",
+            "intersection map must be an immersion",
+        )
+    return _Checks(
+        require_marked, is_marked, "block maps must be marked", "intersection map must be marked"
+    )
+
+
 def _name_the_clash(g: Morphism, h: Morphism, names: tuple[str, str]) -> None:
     """Raise the precondition's `NotMarkedError` for the first of g and h
     that is not marked (not an immersion), as the solvers' entry check does."""
-    require = require_immersion if g.mode == GROUP else require_marked
+    require = _checks(g.mode).require
     require(g, names[0])
     require(h, names[1])
     raise AssertionError("first-letter index and marking check disagree")
@@ -379,36 +403,33 @@ def _fresh_alphabet(size: int, mode: str) -> Alphabet:
     return _alphabet(tuple([f"p{i}" for i in range(size)]), mode)
 
 
-def reduce_step(
-    instance: Instance, embeds: Callable[[Morphism], bool], message: str
-) -> ReductionStep:
+def reduce_step(instance: Instance) -> ReductionStep:
     """Replace the pair by the pair of chain maps.
 
     Fresh generators are named p0, p1, ... in chain order; g' maps p_i to
     the chain's u and h' to its v.  The reduced instance's codomain is the
     previous domain; keeping the alphabets explicit avoids any symbol
-    capture between levels.  `embeds` is the marked / immersion self-check
-    of the new maps, and `message` names it when it fails.  The walk checks
-    the marking of the pair (`agreeing_chains`); a clash is reported under
-    `instance.names`.
+    capture between levels.  The new maps get the mode's self-check.  The
+    walk checks the marking of the pair (`agreeing_chains`); a clash is
+    reported under `instance.names`.
     """
     sigma = instance.g.domain
     blocks = chain_blocks(instance.g, instance.h, instance.names)
     sigma2 = _fresh_alphabet(len(blocks), sigma.mode)
     g_prime = Morphism._trusted(sigma2, sigma, tuple([b.u for b in blocks]))
     h_prime = Morphism._trusted(sigma2, sigma, tuple([b.v for b in blocks]))
-    if not (embeds(g_prime) and embeds(h_prime)):
-        raise AssertionError(message)
+    checks = _checks(sigma.mode)
+    if not (checks.embeds(g_prime) and checks.embeds(h_prime)):
+        raise AssertionError(checks.step_failure)
     if len(sigma2.symbols) > len(sigma.symbols):
         raise AssertionError("reduction cannot grow the alphabet")
     return ReductionStep(instance, Instance(g_prime, h_prime), g_prime, h_prime, blocks)
 
 
-def intersect(
-    psi1: Morphism, psi2: Morphism, embeds: Callable[[Morphism], bool], message: str
-) -> Morphism:
+def intersect(psi1: Morphism, psi2: Morphism) -> Morphism:
     """A marked map / immersion whose image is the intersection of the two
-    images: fresh generators p0, p1, ... map to the chains' labels."""
+    images: fresh generators p0, p1, ... map to the chains' labels.  Both
+    are embeddings that passed the mode's self-check when they were built."""
     chains = agreeing_chains(psi1, psi2)
     for label, u, v in chains:
         if not apply(psi1, u).letters == label == apply(psi2, v).letters:
@@ -416,22 +437,21 @@ def intersect(
     domain = _fresh_alphabet(len(chains), psi1.mode)
     images = tuple(Word._trusted(psi1.codomain, label) for label, _, _ in chains)
     k = Morphism._trusted(domain, psi1.codomain, images)
-    if not embeds(k):
-        raise AssertionError(message)
+    checks = _checks(psi1.mode)
+    if not checks.embeds(k):
+        raise AssertionError(checks.intersect_failure)
     return k
 
 
 def reduce_to_basis(
-    instance: Instance,
-    reduce: Callable[[Instance], ReductionStep],
-    embeds: Callable[[Morphism], bool],
+    instance: Instance, reduce: Callable[[Instance], ReductionStep]
 ) -> EqualiserResult:
     """Reduce a pair until a solved shape appears, then read the basis off it.
 
     Stops on an empty alphabet, a single generator, all images of length
     one, or a repeat of an earlier instance up to renaming.  The embedding
     is the composed trail restricted to the letters on which the final pair
-    agrees; `embeds` is its marked / immersion self-check.
+    agrees, and it gets the mode's self-check.
 
     A repeat is looked for by shape first (`_shape`): the canonical form is
     computed only for instances whose shape recurs in the trail, each at
@@ -477,7 +497,7 @@ def reduce_to_basis(
             w = apply(step.g_prime, w)
         images.append(w)
     embedding = Morphism._trusted(domain, instance.sigma, tuple(images))
-    if not embeds(embedding):
+    if not _checks(instance.mode).embeds(embedding):
         raise AssertionError("equaliser embedding fails its marked / immersion check")
     if len(images) > len(instance.sigma):
         raise AssertionError("rank bound violated")
@@ -491,25 +511,23 @@ def solve_family(
     morphisms: list[Morphism],
     sigma: Alphabet,
     delta: Alphabet,
-    require: Callable[[Morphism, str], None],
-    solve_pair: Callable[[Instance], EqualiserResult],
-    intersect: Callable[[Morphism, Morphism], Morphism],
+    reduce: Callable[[Instance], ReductionStep],
 ) -> EqualiserResult:
     """Equaliser of a finite family: solve consecutive pairs, then intersect
     their images.  Agreement on consecutive pairs chains to the whole family.
 
-    `require` is the marked / immersion precondition, checked once per
-    morphism; `solve_pair` solves a pair of maps that passed it, and checks
-    them no more.
+    Each morphism gets the mode's precondition once; the pairs are reduced
+    by `reduce` and checked no more.
     """
     if len(morphisms) < 2:
         raise ValueError("a set solve needs at least two morphisms")
+    require = _checks(sigma.mode).require
     for i, f in enumerate(morphisms):
         if f.domain != sigma or f.codomain != delta:
             raise ValueError(f"morphism {i} does not map the given alphabets")
         require(f, f"morphism {i}")
     pair_results = [
-        solve_pair(Instance(morphisms[i], morphisms[i + 1]))
+        reduce_to_basis(Instance(morphisms[i], morphisms[i + 1]), reduce)
         for i in range(len(morphisms) - 1)
     ]
     psi = pair_results[0].embedding

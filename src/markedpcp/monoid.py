@@ -1,25 +1,15 @@
-"""Blocks, instance reduction, and the equaliser solver for marked
-free-monoid morphisms, including finite families of them.
-
-The mode and marking checks live here; the block walk, the reduce and
-intersect steps, the loop, the trail pull-back and the family solve are the
-shared driver in `instances`.
+"""The equaliser solver for marked free-monoid morphisms, including finite
+families, and their blocks.  Each entry point checks the mode and the
+marking of its inputs and makes one call of the shared driver in
+`instances`, which does the rest and picks the marking self-checks by the
+maps' mode.
 """
 
 from __future__ import annotations
 
-from .instances import (
-    Block,
-    EqualiserResult,
-    Instance,
-    ReductionStep,
-    chain_blocks,
-    intersect,
-    reduce_step,
-    reduce_to_basis,
-    solve_family,
-)
-from .morphisms import Morphism, is_marked, require_marked
+from .instances import Block, EqualiserResult, Instance, ReductionStep
+from .instances import chain_blocks, reduce_step, reduce_to_basis, solve_family
+from .morphisms import Morphism, require_marked
 from .words import MONOID, Alphabet
 
 
@@ -48,7 +38,7 @@ def reduce_instance(instance: Instance) -> ReductionStep:
     than a separate check."""
     if instance.mode != MONOID:
         raise ValueError("monoid reduction needs a monoid-mode instance")
-    return reduce_step(instance, is_marked, "block maps must be marked")
+    return reduce_step(instance)
 
 
 def solve_pair(instance: Instance) -> EqualiserResult:
@@ -58,25 +48,12 @@ def solve_pair(instance: Instance) -> EqualiserResult:
         raise ValueError("this solver handles monoid-mode instances")
     require_marked(instance.g, instance.names[0])
     require_marked(instance.h, instance.names[1])
-    return _solve_marked_pair(instance)
+    return reduce_to_basis(instance, reduce_instance)
 
 
-def _solve_marked_pair(instance: Instance) -> EqualiserResult:
-    """`solve_pair` for two maps already checked to be marked."""
-    return reduce_to_basis(instance, reduce_instance, is_marked)
-
-
-def _intersect(psi1: Morphism, psi2: Morphism) -> Morphism:
-    """Marked morphism whose image is the intersection of the two images;
-    both are embeddings that passed `is_marked` when they were built."""
-    return intersect(psi1, psi2, is_marked, "intersection map must be marked")
-
-
-def solve_set(
-    morphisms: list[Morphism], sigma: Alphabet, delta: Alphabet
-) -> EqualiserResult:
+def solve_set(morphisms: list[Morphism], sigma: Alphabet, delta: Alphabet) -> EqualiserResult:
     """Equaliser of a finite family of marked morphisms: solve consecutive
     pairs, then intersect their images through blocks."""
     if sigma.mode != MONOID:
         raise ValueError("this solver handles monoid-mode morphisms")
-    return solve_family(morphisms, sigma, delta, require_marked, _solve_marked_pair, _intersect)
+    return solve_family(morphisms, sigma, delta, reduce_instance)

@@ -101,7 +101,7 @@ class TestSolve:
         )
 
     def test_failed_self_check_is_named(self, capsys, monkeypatch):
-        monkeypatch.setattr(group, "is_immersion", lambda f, method="all": False)
+        monkeypatch.setattr(instances, "is_immersion", lambda f, method="all": False)
         assert run(["solve", IMMERSED]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -111,9 +111,9 @@ class TestSolve:
         # `python -O` strips `assert` statements; the solver's self-checks
         # raise on their own and still end in exit 4
         code = (
-            "import sys; from markedpcp import cli, group; "
+            "import sys; from markedpcp import cli, instances; "
             "print(sys.flags.optimize); "
-            "group.is_immersion = lambda f, method='all': False; "
+            "instances.is_immersion = lambda f, method='all': False; "
             f"sys.exit(cli.run(['solve', {IMMERSED!r}]))"
         )
         fresh = _fresh_python(["-O", "-c", code], check=False)

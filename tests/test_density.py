@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from markedpcp.cli import run
 from markedpcp.density import (
     IMMERSION_GROUP,
     MARKED_MONOID,
@@ -135,6 +136,23 @@ class TestMeasureDensity:
         measure_density(DensityParams(1, 2, 1022, samples=1), MARKED_MONOID)
         with pytest.raises(ValueError, match="at least 2\\^1023$"):
             measure_density(DensityParams(1, 2, 1023, samples=1), MARKED_MONOID)
+
+    @pytest.mark.parametrize(
+        "argv, row",
+        # recorded before the length weights and letter lists were built once
+        # per measurement rather than once per sampled word
+        [
+            ("marked-monoid -k 2 -m 3 -n 4 --samples 400 --seed 11", "marked-monoid,2,3,4,400,129/200,2/3"),
+            ("marked-monoid -k 3 -m 4 -n 6 --samples 400 --seed 11", "marked-monoid,3,4,6,400,33/80,3/8"),
+            ("marked-monoid -k 2 -m 2 -n 900 --samples 200 --seed 2", "marked-monoid,2,2,900,200,49/100,1/2"),
+            ("immersion-group -k 2 -m 3 -n 4 --samples 400 --seed 11", "immersion-group,2,3,4,400,119/400,5/18"),
+            ("immersion-group -k 2 -m 2 -n 7 --samples 400 --seed 11", "immersion-group,2,2,7,400,31/400,3/32"),
+            ("immersion-group -k 3 -m 3 -n 300 --samples 200 --seed 2", "immersion-group,3,3,300,200,1/100,5/324"),
+        ],
+    )
+    def test_sampled_rows_are_pinned(self, argv, row, capsys):
+        assert run(["density", "--kind", *argv.split()]) == 0
+        assert capsys.readouterr().out == f"kind,k,m,n,samples,empirical,predicted\n{row}\n"
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -390,7 +390,9 @@ def _repeat_the_first(chains):
 
 class TestSelfChecksStillFire:
     """Each self-check of a solve raises when what it checks is wrong, at
-    both entry points and in both modes, so none of them is skipped."""
+    both entry points and in both modes, so none of them is skipped: those
+    of a step, of the embedding, of an intersection (called directly), and
+    of a map with no generators."""
 
     @pytest.fixture(params=[GROUP, MONOID])
     def pair(self, request):
@@ -441,3 +443,54 @@ class TestSelfChecksStillFire:
         message = "equaliser embedding fails its marked / immersion check"
         with pytest.raises(AssertionError, match=message):
             self._solve(pair, entry)
+
+    @staticmethod
+    def _pair_embeddings(mode):
+        """The embeddings of the planted family's two consecutive pair
+        solves, whose intersection keeps a generator."""
+        family = parse((FIXTURES / f"planted_{mode}_family.pcp").read_text())
+        solver, _ = _solver(mode)
+        maps = family.morphisms
+        psi1, psi2 = (solver.solve_pair(Instance(f, g)).embedding for f, g in zip(maps, maps[1:]))
+        assert instances.intersect(psi1, psi2).images
+        return psi1, psi2
+
+    @pytest.mark.parametrize("mode", [GROUP, MONOID])
+    def test_a_wrong_intersection_label_is_caught(self, mode, monkeypatch):
+        psi1, psi2 = self._pair_embeddings(mode)
+        walk = instances.agreeing_chains
+
+        def lengthened(*args):
+            return [(label + label[:1], u, v) for label, u, v in walk(*args)]
+
+        monkeypatch.setattr(instances, "agreeing_chains", lengthened)
+        with pytest.raises(AssertionError, match="^intersection maps disagree$"):
+            instances.intersect(psi1, psi2)
+
+    @pytest.mark.parametrize(
+        "mode, check, message",
+        [
+            (GROUP, "is_immersion", "intersection map must be an immersion"),
+            (MONOID, "is_marked", "intersection map must be marked"),
+        ],
+    )
+    def test_a_failed_intersection_check_is_named(self, mode, check, message, monkeypatch):
+        psi1, psi2 = self._pair_embeddings(mode)
+        monkeypatch.setattr(instances, check, lambda f, *args: False)
+        with pytest.raises(AssertionError) as caught:
+            instances.intersect(psi1, psi2)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("entry", ["solve_pair", "solve_set"])
+    def test_a_check_on_a_map_of_no_generators_fires(self, entry, monkeypatch):
+        # the one step of this pair finds no chains, so the step's maps and
+        # the embedding have no generators; a `folded` leg that calls such a
+        # map no immersion must make the three characterisations disagree
+        inst = parse((FIXTURES / "rank0_group_pair.pcp").read_text())
+        folded = morphisms._immersion_by_folding
+        monkeypatch.setattr(
+            morphisms, "_immersion_by_folding", lambda f: bool(f.images) and folded(f)
+        )
+        with pytest.raises(AssertionError) as caught:
+            self._solve(inst, entry)
+        assert str(caught.value) == "immersion characterisations disagree"

@@ -1,5 +1,6 @@
 """CLI output pinned byte for byte on the fixtures: `solve` stdout, the
-`solve --trace` step files, `export-dot --graph core` and `--graph g`,
+`solve --trace` step files, `solve --set` on a planted family of three
+monoid maps and of three immersions, `export-dot --graph core` and `--graph g`,
 `check` on maps of no generators and on a map that is no immersion, the
 error that `reduce` and `solve` print for a pair whose first map is not an
 immersion, and the one that `solve` and `oracle` print for a file of one
@@ -9,7 +10,8 @@ one still ran the overhang search, so they hold the chain walk to the old
 output.  Those of `zero_generators`, `rank0_group_pair` and the `check`
 files were written while the `folded` check still built a bouquet of a map
 with no generators, so they hold the check that builds none to the old
-output.
+output.  The `solve --set` files were written while `monoid` and `group`
+still passed their self-checks and messages into the driver.
 """
 
 import pytest
@@ -32,6 +34,14 @@ def test_solve_and_trace(name, capsys, tmp_path):
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / f"{name}_solve.txt").read_bytes()
     assert _files(trace) == _files(GOLDEN / f"{name}_trace")
+
+
+@pytest.mark.parametrize("name", ["planted_monoid_family", "planted_group_family"])
+def test_solve_set(name, capsys):
+    assert run(["solve", "--set", str(FIXTURES / f"{name}.pcp")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode() == (GOLDEN / f"{name}_solve_set.txt").read_bytes()
+    assert captured.err == ""
 
 
 def test_export_core(tmp_path):
