@@ -5,7 +5,6 @@ closed-form limits they approach."""
 from __future__ import annotations
 
 import random
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,7 @@ class DensityParams:
     k: int  # number of domain generators
     m: int  # number of codomain generators
     n: int  # maximum image length
-    samples: int = 0  # 0 means exact enumeration
+    samples: int = 0  # 0 means exact count
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.m < 1:
@@ -106,42 +105,23 @@ def _signed_letters(m: int) -> list[RawLetter]:
     return [(i, 1) for i in range(m)] + [(i, -1) for i in range(m)]
 
 
-def _words_up_to(m: int, n: int, group: bool):
-    level: list[tuple[RawLetter, ...]] = [()]
-    yield ()
-    letters = _signed_letters(m) if group else [(i, 1) for i in range(m)]
-    for _ in range(n):
-        nxt = []
-        for stem in level:
-            for l in letters:
-                if group and stem and stem[-1] == _inverse(l):
-                    continue
-                w = stem + (l,)
-                nxt.append(w)
-                yield w
-        level = nxt
-
-
 def _exact_marked_fraction(k: int, m: int, n: int) -> Fraction:
-    total = 0
-    by_first: Counter = Counter()
-    for w in _words_up_to(m, n, group=False):
-        total += 1
-        if w:
-            by_first[w[0]] += 1
-    letters = [(i, 1) for i in range(m)]
-    count = sum(prod(by_first[f] for f in firsts) for firsts in permutations(letters, k))
-    return Fraction(count, total**k)
+    total = sum(m**j for j in range(n + 1))
+    # each letter starts (total - 1)/m of the nonempty words
+    return Fraction(_falling(m, k) * ((total - 1) // m) ** k, total**k)
 
 
 def _exact_immersion_fraction(k: int, m: int, n: int) -> Fraction:
-    total = 0
-    by_ends: Counter = Counter()
-    for w in _words_up_to(m, n, group=True):
-        total += 1
-        if w:
-            by_ends[(w[0], w[-1])] += 1
+    lengths = range(1, n + 1)
+    total = 1 + sum(reduced_word_count(m, j, (), ()) for j in lengths)
     letters = _signed_letters(m)
+    others = {l: [o for o in letters if o != l] for l in letters}
+    # the nonempty reduced words that start with a and end with b
+    by_ends = {
+        (a, b): sum(reduced_word_count(m, j, others[a], others[b]) for j in lengths)
+        for a in letters
+        for b in letters
+    }
     count = 0
     for firsts in permutations(letters, k):
         rest = [l for l in letters if l not in firsts]
@@ -201,9 +181,11 @@ def measure_density(
     """Measured fraction of marked morphisms / immersions among all
     morphisms with images of length <= n, next to the predicted limit.
 
-    With samples == 0 the fraction is exact over the whole tuple space
-    (the empty image counts in the denominator); otherwise image tuples are
-    sampled uniformly with a seeded generator.
+    With samples == 0 the fraction is exact over the whole tuple space (the
+    empty image counts in the denominator), counted by first letter, and in
+    group mode by first and last letter with `reduced_word_count`, without
+    listing a word; otherwise image tuples are sampled uniformly with a
+    seeded generator.
     """
     k, m, n = params.k, params.m, params.n
     if kind == MARKED_MONOID:

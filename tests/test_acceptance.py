@@ -17,13 +17,13 @@ from markedpcp.density import (
     measure_density,
     reduced_word_count,
     _signed_letters,
-    _words_up_to,
 )
 from markedpcp.morphisms import apply, is_immersion
 from markedpcp.oracle import BallSpec, enumerate_equaliser, image_ball
 from markedpcp.stallings import core_of_pair
 from markedpcp.words import GROUP, MONOID, Alphabet, Word, parse_word
 
+from density_reference import words_up_to
 from support import random_group_instance, random_group_morphism, random_monoid_instance
 
 MONOID_COUNT, MONOID_RADIUS = 200, 8
@@ -195,7 +195,7 @@ def test_c8_density_counts():
         letters = _signed_letters(m)
         subsets = [()] + [(l,) for l in letters] + list(combinations(letters, 2))
         by_ends = {n: {} for n in range(1, 9)}
-        for w in _words_up_to(m, 8, group=True):
+        for w in words_up_to(m, 8, group=True):
             if w:
                 key = (w[0], w[-1])
                 bucket = by_ends[len(w)]

@@ -13,14 +13,21 @@ from markedpcp.density import (
     measure_density,
     reduced_word_count,
     _signed_letters,
-    _words_up_to,
 )
+
+from conftest import FIXTURES
+from density_reference import exact_immersion_fraction, exact_marked_fraction, words_up_to
+
+# `markedpcp density` in exact mode, recorded while exact mode still
+# enumerated every word: both kinds over 1 <= k <= m <= 3 and n in {1, 3, 6},
+# and k = m = 2 at n = 10
+EXACT_ROWS = (FIXTURES / "golden" / "density_exact.csv").read_text().splitlines()
 
 
 def brute_force_count(m, n, A, B):
     A, B = set(A), set(B)
     count = 0
-    for w in _words_up_to(m, n, group=True):
+    for w in words_up_to(m, n, group=True):
         if len(w) == n and w[0] not in A and w[-1] not in B:
             count += 1
     return count
@@ -112,6 +119,35 @@ class TestMeasureDensity:
     def test_immersion_exact_tracks_the_limit(self):
         emp, pred = measure_density(DensityParams(1, 2, 8), IMMERSION_GROUP)
         assert abs(emp - pred) < Fraction(1, 20)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_exact_counts_match_enumeration(self, m):
+        for k in range(1, m + 1):
+            for n in range(1, 8):
+                params = DensityParams(k, m, n)
+                assert measure_density(params, MARKED_MONOID)[0] == exact_marked_fraction(k, m, n)
+                assert measure_density(params, IMMERSION_GROUP)[0] == exact_immersion_fraction(k, m, n)
+
+    def test_exact_single_generator_far_out(self):
+        # over one generator every nonempty image is marked, and every
+        # nonempty reduced image (x^j or x^-j) is an immersion
+        assert measure_density(DensityParams(1, 1, 1000), MARKED_MONOID)[0] == Fraction(1000, 1001)
+        assert measure_density(DensityParams(1, 1, 1000), IMMERSION_GROUP)[0] == Fraction(2000, 2001)
+
+    @pytest.mark.parametrize("kind", [MARKED_MONOID, IMMERSION_GROUP])
+    def test_exact_square_case_converges_far_out(self, kind):
+        distances = []
+        for n in (25, 50, 100, 200):
+            emp, pred = measure_density(DensityParams(2, 2, n), kind)
+            distances.append(abs(emp - pred))
+        assert all(a > b for a, b in zip(distances, distances[1:]))
+
+    @pytest.mark.parametrize("row", EXACT_ROWS[1:])
+    def test_exact_rows_are_pinned(self, row, capsys):
+        kind, k, m, n, samples = row.split(",")[:5]
+        assert samples == "0"
+        assert run(["density", "--kind", kind, "-k", k, "-m", m, "-n", n]) == 0
+        assert capsys.readouterr().out == f"{EXACT_ROWS[0]}\n{row}\n"
 
     def test_sampling_is_deterministic(self):
         a = measure_density(DensityParams(2, 2, 6, samples=500), MARKED_MONOID, seed=3)

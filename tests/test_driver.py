@@ -57,6 +57,18 @@ def test_wrong_mode_is_reported_before_the_precondition(
     assert not isinstance(caught.value, NotMarkedError)
 
 
+@pytest.mark.parametrize("other", ["sigma", "delta"])
+@pytest.mark.parametrize("mode", ["group", "monoid"])
+def test_set_solve_rejects_maps_of_other_alphabets(mode, other, marked_pair, immersed_pair):
+    # the maps share their alphabets, so only the check against the
+    # alphabets passed in can catch them
+    solver, inst = {"group": (group, immersed_pair), "monoid": (monoid, marked_pair)}[mode]
+    given = {"sigma": inst.sigma, "delta": inst.delta}
+    given[other] = Alphabet(tuple(s + "2" for s in given[other].symbols), given[other].mode)
+    with pytest.raises(ValueError, match=r"^morphism 0 does not map the given alphabets$"):
+        solver.solve_set([inst.g, inst.h], given["sigma"], given["delta"])
+
+
 def test_monoid_does_not_import_group():
     src = str(pathlib.Path(markedpcp.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
