@@ -15,7 +15,7 @@ import sys
 
 from . import group as group_solver
 from . import monoid as monoid_solver
-from .fileformat import ParseError, parse, serialize, serialize_instance
+from .fileformat import parse, serialize, serialize_instance
 from .instances import EqualiserResult, Instance, SetInstance, prefix_complexity, reduce_step
 from .morphisms import NotMarkedError, is_immersion, is_marked
 from .words import GROUP, MONOID
@@ -198,16 +198,10 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NotMarkedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

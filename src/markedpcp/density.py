@@ -9,7 +9,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations
-from math import prod
+from math import perm, prod
 
 MARKED_MONOID = "marked-monoid"
 IMMERSION_GROUP = "immersion-group"
@@ -35,13 +35,6 @@ class DensityParams:
             raise ValueError("sample count must be nonnegative")
 
 
-def _falling(base: int, count: int) -> int:
-    out = 1
-    for i in range(count):
-        out *= base - i
-    return out
-
-
 def marked_density_limit(k: int, m: int) -> Fraction:
     """Limit of the marked fraction as image length grows: m!/(m^k (m-k)!).
 
@@ -49,7 +42,7 @@ def marked_density_limit(k: int, m: int) -> Fraction:
     """
     if k > m:
         return Fraction(0)
-    return Fraction(_falling(m, k), m**k)
+    return Fraction(perm(m, k), m**k)
 
 
 def immersion_density_limit(k: int, m: int) -> Fraction:
@@ -64,7 +57,7 @@ def immersion_density_limit(k: int, m: int) -> Fraction:
         return Fraction(0)
     if m == 1:
         return Fraction(1)
-    return Fraction(_falling(2 * m, k) * _falling(2 * m - k, k), (2 * m) ** (2 * k))
+    return Fraction(perm(2 * m, k) * perm(2 * m - k, k), (2 * m) ** (2 * k))
 
 
 def _inverse(l: RawLetter) -> RawLetter:
@@ -108,7 +101,7 @@ def _signed_letters(m: int) -> list[RawLetter]:
 def _exact_marked_fraction(k: int, m: int, n: int) -> Fraction:
     total = sum(m**j for j in range(n + 1))
     # each letter starts (total - 1)/m of the nonempty words
-    return Fraction(_falling(m, k) * ((total - 1) // m) ** k, total**k)
+    return Fraction(perm(m, k) * ((total - 1) // m) ** k, total**k)
 
 
 def _exact_immersion_fraction(k: int, m: int, n: int) -> Fraction:

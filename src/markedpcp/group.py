@@ -1,8 +1,10 @@
 """The equaliser solver for free-group immersions, including finite
 families.  Each entry point checks the mode and the immersion of its inputs
 and makes one call of the shared driver in `instances`, which does the rest
-and picks the immersion self-checks by the maps' mode.  The petals are read
-off the images by the driver's walk, so solving builds no graph.
+and picks the immersion self-checks by the maps' mode.  The driver's chain
+walk reads the petals off the images and builds no graph; the `folded` leg
+of its immersion self-checks builds the bouquet of each map it checks that
+has generators.
 """
 
 from __future__ import annotations

@@ -138,7 +138,7 @@ class ReductionStep:
         mode."""
         if self.before.mode != GROUP:
             return None
-        from . import stallings  # deferred: solving builds no graph
+        from . import stallings  # deferred: loaded only to fold or draw a graph
 
         return stallings.core_of_pair(self.before.g, self.before.h)[0]
 

@@ -8,6 +8,7 @@ sides is a genuine cross-check rather than a tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .instances import EqualiserResult, Instance, SetInstance
 from .morphisms import Morphism
@@ -59,16 +60,23 @@ def _raw_invert(w: RawWord) -> RawWord:
     return tuple((i, -s) for (i, s) in reversed(w))
 
 
-def _raw_apply(table: list[RawWord], w: RawWord, group: bool) -> RawWord:
-    out: list[tuple[int, int]] = []
-    for i, s in w:
-        seq = table[i] if s > 0 else _raw_invert(table[i])
-        for x in seq:
-            if group and out and out[-1] == (x[0], -x[1]):
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+def _signed_table(f: Morphism) -> dict[tuple[int, int], RawWord]:
+    """Raw image of each signed domain generator: the positive letters
+    first, then their inverses in group mode."""
+    raw = _raw_table(f)
+    table = {(i, 1): img for i, img in enumerate(raw)}
+    if f.mode == GROUP:
+        table.update({(i, -1): _raw_invert(img) for i, img in enumerate(raw)})
+    return table
+
+
+def _raw_join(u: RawWord, v: RawWord) -> RawWord:
+    """The reduced product of two reduced raw words: letters cancel only
+    where the words meet, so two positive words are simply concatenated."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == (v[k][0], -v[k][1]):
+        k += 1
+    return u[: len(u) - k] + v[k:]
 
 
 def _domain_letters(alphabet: Alphabet) -> list[tuple[int, int]]:
@@ -87,7 +95,8 @@ def enumerate_equaliser(morphisms: list[Morphism], ball: BallSpec) -> list[Word]
     """All words of length <= radius on which every morphism agrees, in
     shortlex order; freely reduced words only in group mode.
 
-    Walks the ball depth-first with incremental image stacks.  A branch
+    Walks the ball depth-first, carrying each morphism's image of the
+    prefix and joining it with the image of the next letter.  A branch
     whose images already disagree on their overlap is pruned in monoid mode,
     and in group mode when every morphism passes `_decode_table`: the images
     of a reduced word under an immersion never cancel, so like monoid images
@@ -101,64 +110,32 @@ def enumerate_equaliser(morphisms: list[Morphism], ball: BallSpec) -> list[Word]
             raise ValueError("morphisms must share domain and codomain")
     if ball.mode != sigma.mode:
         raise ValueError("ball mode does not match the morphisms")
-    group = sigma.mode == GROUP
     prune = True
-    if group:
+    if sigma.mode == GROUP:
         try:
             for f in morphisms:
                 _decode_table(f)
         except ValueError:
             prune = False
-    tables = [_raw_table(f) for f in morphisms]
-    letters = _domain_letters(sigma)
-    stacks: list[list[tuple[int, int]]] = [[] for _ in morphisms]
+    tables = [_signed_table(f) for f in morphisms]
+    steps = [(l, [t[l] for t in tables]) for l in _domain_letters(sigma)]
     hits: list[RawWord] = []
-    prefix: list[tuple[int, int]] = []
 
-    def push(stack: list, table: list[RawWord], letter: tuple[int, int]) -> tuple[int, list]:
-        seq = table[letter[0]] if letter[1] > 0 else _raw_invert(table[letter[0]])
-        popped = []
-        added = 0
-        for x in seq:
-            if group and stack and stack[-1] == (x[0], -x[1]):
-                popped.append(stack.pop())
-            else:
-                stack.append(x)
-                added += 1
-        return added, popped
-
-    def undo(stack: list, added: int, popped: list) -> None:
-        if added:
-            del stack[len(stack) - added :]
-        stack.extend(reversed(popped))
-
-    def diverged() -> bool:
-        if not prune:
-            return False
-        first = stacks[0]
-        for other in stacks[1:]:
-            n = min(len(first), len(other))
-            if first[:n] != other[:n]:
-                return True
-        return False
-
-    def walk() -> None:
-        if all(s == stacks[0] for s in stacks[1:]):
-            hits.append(tuple(prefix))
-        if len(prefix) == ball.radius:
+    def walk(word: RawWord, images: list[RawWord]) -> None:
+        if all(other == images[0] for other in images[1:]):
+            hits.append(word)
+        if len(word) == ball.radius:
             return
-        for l in letters:
-            if group and prefix and prefix[-1] == (l[0], -l[1]):
+        for l, imgs in steps:
+            if word and word[-1] == (l[0], -l[1]):
                 continue
-            undos = [push(stacks[i], tables[i], l) for i in range(len(tables))]
-            prefix.append(l)
-            if not diverged():
-                walk()
-            prefix.pop()
-            for stack, (added, popped) in zip(stacks, undos):
-                undo(stack, added, popped)
+            joined = [_raw_join(image, img) for image, img in zip(images, imgs)]
+            first = joined[0]
+            if prune and any(first[: len(o)] != o[: len(first)] for o in joined[1:]):
+                continue
+            walk(word + (l,), joined)
 
-    walk()
+    walk((), [()] * len(tables))
     hits.sort(key=_raw_sort_key)
     return [Word(sigma, raw) for raw in hits]
 
@@ -166,12 +143,8 @@ def enumerate_equaliser(morphisms: list[Morphism], ball: BallSpec) -> list[Word]
 def _decode_table(psi: Morphism) -> dict[tuple[int, int], tuple[tuple[int, int], RawWord]]:
     """First raw letter of each image to (generator letter, raw image);
     rejects morphisms that are not marked / not immersions."""
-    table = _raw_table(psi)
     index: dict[tuple[int, int], tuple[tuple[int, int], RawWord]] = {}
-    gens = [((i, 1), table[i]) for i in range(len(table))]
-    if psi.mode == GROUP:
-        gens += [((i, -1), _raw_invert(table[i])) for i in range(len(table))]
-    for gen, img in gens:
+    for gen, img in _signed_table(psi).items():
         if not img:
             raise ValueError("image of a generator is empty: not marked")
         if img[0] in index:
@@ -226,11 +199,9 @@ def check_result(
             f"basis has {len(result.basis)} elements, more than the {len(sigma)} generators"
         )
 
-    tables = [_raw_table(f) for f in morphisms]
-    group = sigma.mode == GROUP
+    tables = [_signed_table(f) for f in morphisms]
     for w in result.basis:
-        raw = tuple((l.index, l.sign) for l in w.letters)
-        images = {_raw_apply(t, raw, group) for t in tables}
+        images = {reduce(_raw_join, [t[l] for l in w.letters], ()) for t in tables}
         if len(images) > 1:
             failures.append(f"basis word {w!r} is not an equaliser element")
 

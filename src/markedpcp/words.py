@@ -274,16 +274,17 @@ def ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
     inverse = alphabet._inverse_letters
     letters = sorted(alphabet.signed_letters(), key=Letter.sort_key)
     level: list[tuple[Letter, ...]] = [()]
-    yield Word(alphabet, ())
+    yield Word._trusted(alphabet, ())
     for _ in range(radius):
         nxt = []
         for stem in level:
             for l in letters:
-                if alphabet.mode == GROUP and stem and stem[-1] is inverse[l]:
+                # a monoid stem never holds the negative letter inverse[l]
+                if stem and stem[-1] is inverse[l]:
                     continue
                 seq = stem + (l,)
                 nxt.append(seq)
-                yield Word(alphabet, seq)
+                yield Word._trusted(alphabet, seq)
         level = nxt
 
 

@@ -1,7 +1,8 @@
 """CLI output pinned byte for byte on the fixtures: `solve` stdout, the
 `solve --trace` step files, `solve --set` on a planted family of three
 monoid maps and of three immersions, `export-dot --graph core` and `--graph g`,
-`check` on maps of no generators and on a map that is no immersion, the
+`check` on maps of no generators and on a map that is no immersion,
+`oracle` on every fixture whose maps are marked or immersions, the
 error that `reduce` and `solve` print for a pair whose first map is not an
 immersion, and the one that `solve` and `oracle` print for a file of one
 map.  The files under `fixtures/golden` were written when the group
@@ -11,7 +12,9 @@ output.  Those of `zero_generators`, `rank0_group_pair` and the `check`
 files were written while the `folded` check still built a bouquet of a map
 with no generators, so they hold the check that builds none to the old
 output.  The `solve --set` files were written while `monoid` and `group`
-still passed their self-checks and messages into the driver.
+still passed their self-checks and messages into the driver.  The
+`oracle` files were written while `oracle.enumerate_equaliser` still
+walked the ball with image stacks and an undo log.
 """
 
 import pytest
@@ -41,6 +44,24 @@ def test_solve_set(name, capsys):
     assert run(["solve", "--set", str(FIXTURES / f"{name}.pcp")]) == 0
     captured = capsys.readouterr()
     assert captured.out.encode() == (GOLDEN / f"{name}_solve_set.txt").read_bytes()
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "name, radius",
+    [
+        ("marked_pair", 8),
+        ("immersed_pair", 6),
+        ("rank0_group_pair", 6),
+        ("zero_generators", 6),
+        ("planted_monoid_family", 6),
+        ("planted_group_family", 6),
+    ],
+)
+def test_oracle(name, radius, capsys):
+    assert run(["oracle", str(FIXTURES / f"{name}.pcp"), "--radius", str(radius)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode() == (GOLDEN / f"{name}_oracle.txt").read_bytes()
     assert captured.err == ""
 
 

@@ -304,3 +304,21 @@ class TestBall:
         assert keys == sorted(keys)
         assert len(words) == 1 + 4 + 4 * 3 + 4 * 9
         assert len(set(words)) == len(words)
+
+    @pytest.mark.parametrize("mode", [MONOID, GROUP])
+    def test_builds_no_word_through_the_checking_constructor(self, mode, monkeypatch):
+        alphabet = Alphabet(("x", "y", "z"), mode)
+        validated = []
+        real = Word.__post_init__
+
+        def counting(self):
+            validated.append(self)
+            real(self)
+
+        monkeypatch.setattr(Word, "__post_init__", counting)
+        words = list(ball(alphabet, 4))
+        assert validated == []
+        monkeypatch.undo()
+        assert len(words) == (1 + 3 + 9 + 27 + 81 if mode == MONOID else 1 + 6 + 30 + 150 + 750)
+        for w in words:
+            assert w == Word(alphabet, w.letters)
