@@ -8,8 +8,8 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, permutations
-from math import perm, prod
+from itertools import accumulate
+from math import comb, factorial, perm
 
 MARKED_MONOID = "marked-monoid"
 IMMERSION_GROUP = "immersion-group"
@@ -105,21 +105,27 @@ def _exact_marked_fraction(k: int, m: int, n: int) -> Fraction:
 
 
 def _exact_immersion_fraction(k: int, m: int, n: int) -> Fraction:
+    """Count immersions by first letters F_i and last letters L_i: the F_i
+    and the L_i^-1 are 2k distinct letters.  By symmetry image i has `same`
+    words if L_i = F_i and `other` if not (L_i = F_i^-1 is excluded).
+    Expanding same = (same - other) + other sums over the sets T of t images
+    set to L_i = F_i; the other L_i^-1 are any k - t of the 2m - k - t
+    letters left.  If the F_i hold c inverse pairs, T lies among the other
+    k - 2c images."""
     lengths = range(1, n + 1)
     total = 1 + sum(reduced_word_count(m, j, (), ()) for j in lengths)
     letters = _signed_letters(m)
-    others = {l: [o for o in letters if o != l] for l in letters}
-    # the nonempty reduced words that start with a and end with b
-    by_ends = {
-        (a, b): sum(reduced_word_count(m, j, others[a], others[b]) for j in lengths)
-        for a in letters
-        for b in letters
-    }
+    not_x, not_y = ([o for o in letters if o != l] for l in ((0, 1), (1, 1)))
+    same = sum(reduced_word_count(m, j, not_x, not_x) for j in lengths)
+    other = sum(reduced_word_count(m, j, not_x, not_y) for j in lengths) if m > 1 else 0
     count = 0
-    for firsts in permutations(letters, k):
-        rest = [l for l in letters if l not in firsts]
-        for lam in permutations(rest, k):
-            count += prod(by_ends[(firsts[i], _inverse(lam[i]))] for i in range(k))
+    for c in range(k // 2 + 1):
+        free = k - 2 * c
+        assignments = factorial(k) * comb(m, c) * comb(m - c, free) * 2**free
+        count += assignments * sum(
+            comb(free, t) * (same - other) ** t * other ** (k - t) * perm(2 * m - k - t, k - t)
+            for t in range(free + 1)
+        )
     return Fraction(count, total**k)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .morphisms import Morphism, apply, first_letters, inverse_image
 from .morphisms import is_immersion, is_marked, require_immersion, require_marked
@@ -280,12 +280,7 @@ def agreeing_chains(
     raised for the first of them, under its name in `names`.
     """
     codomain = g.codomain
-    if codomain.mode == GROUP:
-        inverse = codomain._inverse_letters
-        starts: Iterable[Letter] = inverse  # keys in `Letter.sort_key` order
-    else:
-        inverse = None
-        starts = codomain._positive_letters
+    inverse = codomain._inverse_letters  # its keys, in `Letter.sort_key` order, are the starts
     # per side: first letter -> signed generator, and signed generator ->
     # the letters of its image, each image added when the walk first needs it
     maps, firsts, runs = (g, h), [], ({}, {})
@@ -299,7 +294,7 @@ def agreeing_chains(
     g_runs = runs[0]
 
     chains: list[Chain] = []
-    for a in starts:
+    for a in inverse:
         x, y = g_firsts.get(a), h_firsts.get(a)
         if x is None or y is None:
             continue
@@ -334,7 +329,7 @@ def agreeing_chains(
             else:
                 u, v = words
                 label = tuple([l for y in u for l in g_runs[y]])
-                if inverse is None or _below_inverse(label, inverse):
+                if codomain.mode != GROUP or _below_inverse(label, inverse):
                     chains.append(
                         (label, Word._trusted(g.domain, tuple(u)), Word._trusted(h.domain, tuple(v)))
                     )

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .words import GROUP, Alphabet, Letter, Word, ball, format_letter
+from .words import GROUP, Alphabet, Letter, Word, _junction, ball, format_letter
 
 
 class NotMarkedError(ValueError):
@@ -101,22 +101,21 @@ def identity(alphabet: Alphabet) -> Morphism:
 
 
 def apply(f: Morphism, w: Word) -> Word:
-    """Homomorphic image of w; group mode maps x^-1 to f(x)^-1 and reduces."""
+    """Homomorphic image of w: the signed images of its letters (x^-1 maps
+    to f(x)^-1) joined in order, each join cancelling the `words._junction`
+    letters where the two meet, none for monoid words."""
     if w.alphabet != f.domain:
         raise ValueError("word does not lie over the morphism's domain")
     out: list[Letter] = []
-    if f.mode != GROUP:
-        for l in w.letters:
-            out.extend(f.images[l.index].letters)
-        return Word._trusted(f.codomain, tuple(out))
     for l in w.letters:
         img = f.images[l.index].letters if l.sign > 0 else inverse_image(f, l.index)
-        for x in img:
-            # x cancels the last letter when it is that letter's inverse
-            if out and out[-1].index == x.index and out[-1].sign != x.sign:
-                out.pop()
-            else:
-                out.append(x)
+        # only a last letter that cancels the image's first starts a junction
+        if out and img and out[-1].index == img[0].index and out[-1].sign != img[0].sign:
+            c = _junction(out, img)
+            del out[-c:]
+            out += img[c:]
+        else:
+            out += img
     return Word._trusted(f.codomain, tuple(out))
 
 
@@ -177,18 +176,6 @@ def _report_clash(f: Morphism, name: str, noun: str) -> None:
 
 def require_marked(f: Morphism, name: str = "morphism") -> None:
     _report_clash(f, name, "marked")
-
-
-def _junction(u: tuple[Letter, ...], v: tuple[Letter, ...]) -> int:
-    """How many letters of u cancel against v when the reduced words u and
-    v are concatenated and freely reduced: the length of the run where
-    the end of u, read backwards, spells the inverse of the start of v."""
-    c = 0
-    for a, b in zip(reversed(u), v):
-        if a.index != b.index or a.sign == b.sign:
-            break
-        c += 1
-    return c
 
 
 def _immersion_by_lengths(f: Morphism) -> bool:

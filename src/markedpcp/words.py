@@ -224,20 +224,24 @@ def free_reduce(alphabet: Alphabet, letters: Iterable[Letter]) -> Word:
     return Word._trusted(alphabet, tuple(out))
 
 
+def _junction(u: Sequence[Letter], v: Sequence[Letter]) -> int:
+    """How many letters cancel where the reduced words u and v meet, and
+    nowhere else: the run where u, read backwards from its end, spells the
+    inverse of the start of v.  0 for monoid words, which are all positive."""
+    c = 0
+    for a, b in zip(reversed(u), v):
+        if a.index != b.index or a.sign == b.sign:
+            break
+        c += 1
+    return c
+
+
 def concat(u: Word, v: Word) -> Word:
-    """Concatenate two words; in group mode the junction is freely reduced."""
+    """Concatenate two words, cancelling the `_junction` letters where they meet."""
     if u.alphabet != v.alphabet:
         raise ValueError("cannot concatenate words over different alphabets")
-    if u.alphabet.mode == MONOID:
-        return Word._trusted(u.alphabet, u.letters + v.letters)
-    # both already reduced, so cancellation only happens at the junction
-    inverse = u.alphabet._inverse_letters
-    left = list(u.letters)
-    i = 0
-    while left and i < len(v.letters) and left[-1] == inverse[v.letters[i]]:
-        left.pop()
-        i += 1
-    return Word._trusted(u.alphabet, tuple(left) + v.letters[i:])
+    c = _junction(u.letters, v.letters)
+    return Word._trusted(u.alphabet, u.letters[: len(u.letters) - c] + v.letters[c:])
 
 
 def invert(w: Word) -> Word:
@@ -330,13 +334,13 @@ def parse_letters(
         ):
             return Word._trusted(alphabet, letters)
     # an unknown token or a cancelling pair: name the first in token order
-    group = alphabet.mode == GROUP
+    inverse = alphabet._inverse_letters
     previous = None
     for ln, col, tok in tokenize_line(text, line)[start:]:
         letter = table.get(tok)
         if letter is None:
             raise ParseError(_token_error(alphabet, tok), ln, col)
-        if group and previous is not None and previous.index == letter.index and previous != letter:
+        if previous is inverse[letter]:
             raise ParseError("image is not freely reduced here", ln, col)
         previous = letter
     raise AssertionError(f"parse_letters: no error found in {text!r} after the fast path failed")

@@ -5,7 +5,10 @@
 first and last letters of every word it yields, once per (m, n, kind).
 `measure_density` in exact mode counts the same words with
 `reduced_word_count` and closed sums, so on every input it must return an
-equal `Fraction`.
+equal `Fraction`.  `permutation_immersion_fraction` counts the words as
+`measure_density` does but still enumerates the first- and last-letter
+assignments, as exact mode did before its closed sum; it judges that sum
+at ranks the word walk cannot reach.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import prod
 
-from markedpcp.density import _inverse, _signed_letters
+from markedpcp.density import _inverse, _signed_letters, reduced_word_count
 from markedpcp.words import GROUP, MONOID, Alphabet, ball
 
 
@@ -52,12 +55,35 @@ def exact_marked_fraction(k: int, m: int, n: int) -> Fraction:
     return Fraction(count, total**k)
 
 
-def exact_immersion_fraction(k: int, m: int, n: int) -> Fraction:
-    total, by_ends = _tally(m, n, group=True)
+def _immersion_count(k: int, m: int, by_ends) -> int:
+    """The immersions among the image tuples, given the nonempty images by
+    (first, last) letter: a sum over the P(2m, k) * P(2m - k, k) admissible
+    first letters and inverses of last letters."""
     letters = _signed_letters(m)
     count = 0
     for firsts in permutations(letters, k):
         rest = [l for l in letters if l not in firsts]
         for lam in permutations(rest, k):
             count += prod(by_ends[(firsts[i], _inverse(lam[i]))] for i in range(k))
-    return Fraction(count, total**k)
+    return count
+
+
+def exact_immersion_fraction(k: int, m: int, n: int) -> Fraction:
+    total, by_ends = _tally(m, n, group=True)
+    return Fraction(_immersion_count(k, m, by_ends), total**k)
+
+
+def permutation_immersion_fraction(k: int, m: int, n: int) -> Fraction:
+    """The same fraction with the words counted by `reduced_word_count`, not
+    listed, and the assignments still enumerated: fast enough at m = 4, and
+    past the reach of `exact_immersion_fraction`'s word walk."""
+    lengths = range(1, n + 1)
+    total = 1 + sum(reduced_word_count(m, j, (), ()) for j in lengths)
+    letters = _signed_letters(m)
+    others = {l: [o for o in letters if o != l] for l in letters}
+    by_ends = {
+        (a, b): sum(reduced_word_count(m, j, others[a], others[b]) for j in lengths)
+        for a in letters
+        for b in letters
+    }
+    return Fraction(_immersion_count(k, m, by_ends), total**k)

@@ -16,11 +16,18 @@ from markedpcp.density import (
 )
 
 from conftest import FIXTURES
-from density_reference import exact_immersion_fraction, exact_marked_fraction, words_up_to
+from density_reference import (
+    exact_immersion_fraction,
+    exact_marked_fraction,
+    permutation_immersion_fraction,
+    words_up_to,
+)
 
 # `markedpcp density` in exact mode, recorded while exact mode still
 # enumerated every word: both kinds over 1 <= k <= m <= 3 and n in {1, 3, 6},
-# and k = m = 2 at n = 10
+# and k = m = 2 at n = 10; then the immersion rows (k, m) = (4, 4), (5, 5)
+# and (4, 6) at n = 2, recorded while it still enumerated every first- and
+# last-letter assignment
 EXACT_ROWS = (FIXTURES / "golden" / "density_exact.csv").read_text().splitlines()
 
 
@@ -127,6 +134,22 @@ class TestMeasureDensity:
                 params = DensityParams(k, m, n)
                 assert measure_density(params, MARKED_MONOID)[0] == exact_marked_fraction(k, m, n)
                 assert measure_density(params, IMMERSION_GROUP)[0] == exact_immersion_fraction(k, m, n)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_exact_immersion_counts_match_the_permutation_sum(self, m):
+        for k in range(1, m + 1):
+            for n in (1, 2, 3, 5):
+                got = measure_density(DensityParams(k, m, n), IMMERSION_GROUP)[0]
+                assert got == permutation_immersion_fraction(k, m, n)
+
+    def test_exact_immersion_converges_at_large_rank(self):
+        # k = 20, m = 30 lies far past any enumeration of assignments
+        distances = []
+        for n in (2, 4, 8, 16, 50):
+            emp, pred = measure_density(DensityParams(20, 30, n), IMMERSION_GROUP)
+            distances.append(abs(emp / pred - 1))
+        assert all(a > b for a, b in zip(distances, distances[1:]))
+        assert distances[-1] < Fraction(1, 10**20)
 
     def test_exact_single_generator_far_out(self):
         # over one generator every nonempty image is marked, and every

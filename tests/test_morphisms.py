@@ -154,6 +154,13 @@ class TestIsImmersion:
     def test_monoid_mode_rejected(self):
         with pytest.raises(ValueError):
             is_immersion(morphism(SM, DM, "x", "y"))
+        # the map is marked, so only the mode check rejects it with this
+        # message, for every method and for the precondition
+        for method in ("marked", "folded", "lengths", "all"):
+            with pytest.raises(ValueError, match="free-group notion"):
+                is_immersion(morphism(SM, DM, "x", "y"), method)
+        with pytest.raises(ValueError, match="free-group notion"):
+            require_immersion(morphism(SM, DM, "x", "y"))
 
     def test_characterisations_agree_on_random_morphisms(self):
         rng = random.Random(13)
@@ -518,6 +525,14 @@ class TestLengthsCheckAgreement:
             if mode == MONOID:
                 f = random_marked_morphism(rng, sigma, delta, 4)
                 w = Word(sigma, tuple(rng.choices(sigma.positive_letters(), k=rng.randint(0, 6))))
+                # and two maps that are not marked: a0 mapped to eps, and
+                # a1's image led by the first letter of a0's
+                unmarked = [_with_image(f, 0, ())]
+                if k > 1:
+                    unmarked.append(_with_image(f, 1, f.images[0].letters[:1] + f.images[1].letters))
+                for u in unmarked:
+                    assert not is_marked(u)
+                    assert apply(u, w) == Word(u.codomain, tuple(l for x in w for l in u.image(x)))
                 expected = Word(f.codomain, tuple(l for x in w for l in f.image(x)))
             else:
                 f = random_group_morphism(rng, sigma, delta, 3)

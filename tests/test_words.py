@@ -51,6 +51,8 @@ class TestAlphabet:
 
     def test_indices_are_stable(self):
         assert [GA.index(s) for s in ("x", "y", "z")] == [0, 1, 2]
+        with pytest.raises(ValueError, match="not in alphabet"):
+            GA.index("w")
 
     def test_signed_letters_monoid_has_no_inverses(self):
         assert all(l.sign == 1 for l in MA.signed_letters())
@@ -297,6 +299,8 @@ class TestOneParser:
 class TestBall:
     def test_monoid_count(self):
         assert len(list(ball(MA, 2))) == 7
+        with pytest.raises(ValueError, match="nonnegative"):
+            list(ball(MA, -1))
 
     def test_group_words_are_reduced_and_shortlex(self):
         words = list(ball(Alphabet(("x", "y"), GROUP), 3))
